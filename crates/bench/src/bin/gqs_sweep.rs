@@ -22,12 +22,16 @@
 //! folded incrementally (constant memory per worker, no materialized
 //! batches) and are bit-identical for any `--threads` value.
 //!
-//! The consensus and availability modes also take `--branch-at <T>
-//! --branches <N>`: each trial runs one warmup to simulated time `T`,
-//! checkpoints the entire simulation, and fans `N` seeded continuations
-//! off the snapshot — amortizing the warmup across branches. Fork and
-//! straight-line (`--branch-mode straight`) execution emit byte-identical
-//! reports.
+//! The three simulated modes are the three impls of
+//! `gqs_workloads::sweep::Workload`; the mode string picks one once, and
+//! a single generic path runs it (`ScenarioGrid::run_sim`), checks
+//! branch points and timeline windows against its horizon, logs stalls
+//! and replays traces. So every simulated mode takes `--timeline <B>`,
+//! `--trace-out <PATH>` and `--branch-at <T> --branches <N>`: a branched
+//! trial runs one warmup to simulated time `T`, checkpoints the entire
+//! simulation, and fans `N` seeded continuations off the snapshot —
+//! amortizing the warmup across branches. Fork and straight-line
+//! (`--branch-mode straight`) execution emit byte-identical reports.
 //!
 //! ```text
 //! gqs_sweep --family ring --n 4..8 --patterns rotating \
@@ -41,10 +45,9 @@ use std::time::Instant;
 
 use gqs_workloads::sweep::{
     parse_f64_list, parse_usize_list, replay_trial_flight, replay_trial_trace, report_csv,
-    report_json_branched, report_json_timeline, timeline_buckets, BranchMode, BranchSpec,
-    NetworkFamily, PatternFamily, ScenarioCell, ScenarioGrid, ScheduleFamily, SimMode, StallLog,
-    SweepOptions, TopologyFamily, TraceFormat, AVAILABILITY_METRICS, CONSENSUS_HORIZON,
-    CONSENSUS_METRICS, LATENCY_HORIZON, LATENCY_METRICS,
+    report_json_exec, timeline_buckets, Availability, BranchMode, BranchSpec, Consensus, Exec,
+    Latency, NetworkFamily, PatternFamily, ScenarioCell, ScenarioGrid, ScheduleFamily, StallLog,
+    SweepOptions, SweepReport, TopologyFamily, TraceFormat, Workload,
 };
 
 const USAGE: &str = "\
@@ -103,13 +106,15 @@ runs implicit topologies up to n <= 4194304 (gqs_simnet::MAX_SIM_PROCESSES).
     --threads <T>        worker threads          [default: GQS_THREADS or auto]
     --shard <K>          trials per shard                     [default: 64]
 
-BRANCHING (consensus and availability modes only; both flags required
-together — every trial runs one warmup to the branch point, snapshots
-the whole simulation, and fans out seeded continuations, so the warmup
-cost is paid once per trial instead of once per branch):
+BRANCHING (simulated modes latency|consensus|availability only; both
+flags required together — every trial runs one warmup to the branch
+point, snapshots the whole simulation, and fans out seeded
+continuations, so the warmup cost is paid once per trial instead of
+once per branch):
     --branch-at <T>      fork each trial at simulated time T (must be
                          positive and below the mode's horizon: 200000
-                         for consensus, 100000 for availability)
+                         for consensus, 100000 for latency and
+                         availability)
     --branches <N>       seeded continuations per trial (at least 1);
                          each contributes one row to the aggregates
     --branch-mode <M>    fork (checkpoint/restore) or straight (re-run
@@ -140,10 +145,15 @@ OBSERVABILITY (simulated modes latency|consensus|availability only):
                          (chrome://tracing / Perfetto array with causal
                          op and QAF phase spans)           [default: jsonl]
 
+The three simulated modes are one workload abstraction run by one
+driver, so timelines, branching, trace replay and stall logging behave
+the same in each.
+
 When a simulated trial hits its event cap (GQS_MAX_EVENTS overrides the
 default of 50000000), the sweep still completes — the stalled trial
 reports what it measured — and a one-line stderr hint names the first
-stalled cell/trial so it can be replayed with the flags above.
+stalled cell/trial (and branch, in a branched run). Unbranched runs get
+the trace flags that replay it; replay re-runs only unbranched trials.
 
 OUTPUT:
     --format <json|csv>  output format                        [default: json]
@@ -336,36 +346,28 @@ fn parse_args() -> Result<Args, String> {
     if !matches!(args.format.as_str(), "json" | "csv") {
         return Err(format!("unknown format {:?} (expected json|csv)", args.format));
     }
+    let simulated = matches!(args.mode.as_str(), "latency" | "consensus" | "availability");
     match (args.branch_at, args.branches) {
         (None, None) => {}
         (Some(_), None) => return Err("--branch-at needs --branches".to_string()),
         (None, Some(_)) => return Err("--branches needs --branch-at".to_string()),
         (Some(at), Some(branches)) => {
-            let horizon = match args.mode.as_str() {
-                "consensus" => CONSENSUS_HORIZON,
-                "availability" => LATENCY_HORIZON,
-                other => {
-                    return Err(format!(
-                    "--branch-at/--branches need --mode consensus or availability, not {other:?}"
-                ))
-                }
-            };
+            if !simulated {
+                return Err(format!(
+                    "--branch-at/--branches need --mode latency, consensus or availability, \
+                     not {:?}",
+                    args.mode
+                ));
+            }
             if at == 0 {
                 return Err("--branch-at must be positive (the warmup must run before the fork)"
                     .to_string());
-            }
-            if at >= horizon {
-                return Err(format!(
-                    "--branch-at {at} is at or past the --mode {} horizon of {horizon}",
-                    args.mode
-                ));
             }
             if branches == 0 {
                 return Err("--branches must be at least 1".to_string());
             }
         }
     }
-    let simulated = matches!(args.mode.as_str(), "latency" | "consensus" | "availability");
     if let Some(bucket) = args.timeline {
         if !simulated {
             return Err(format!(
@@ -380,15 +382,6 @@ fn parse_args() -> Result<Args, String> {
         }
         if bucket == 0 {
             return Err("--timeline bucket must be positive".to_string());
-        }
-        let horizon = if args.mode == "consensus" { CONSENSUS_HORIZON } else { LATENCY_HORIZON };
-        let buckets = timeline_buckets(bucket, horizon);
-        if buckets > 256 {
-            return Err(format!(
-                "--timeline {bucket} yields {buckets} windows over the --mode {} horizon of \
-                 {horizon}; raise the bucket so at most 256 windows remain",
-                args.mode
-            ));
         }
     }
     if args.trace_out.is_some() {
@@ -410,13 +403,24 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The replay mode of a simulated `--mode` string; callers have already
-/// validated membership.
-fn sim_mode(mode: &str) -> SimMode {
-    match mode {
-        "latency" => SimMode::Latency,
-        "consensus" => SimMode::Consensus,
-        _ => SimMode::Availability,
+/// The execution `args` ask of workload `W`, with the branch point and
+/// the timeline windows checked against its horizon.
+fn exec<W: Workload>(args: &Args) -> Result<Exec, String> {
+    let (mode, horizon) = (&args.mode, W::HORIZON);
+    match (args.branch_at, args.branches, args.timeline) {
+        (Some(at), _, _) if at >= horizon => {
+            Err(format!("--branch-at {at} is at or past the --mode {mode} horizon of {horizon}"))
+        }
+        (Some(at), Some(branches), _) => {
+            Ok(Exec::Branch(BranchSpec { at, branches, mode: args.branch_mode }))
+        }
+        (_, _, Some(bucket)) if timeline_buckets(bucket, horizon) > 256 => Err(format!(
+            "--timeline {bucket} yields {} windows over the --mode {mode} horizon of {horizon}; \
+             raise the bucket so at most 256 windows remain",
+            timeline_buckets(bucket, horizon)
+        )),
+        (_, _, Some(bucket)) => Ok(Exec::Timeline(bucket)),
+        _ => Ok(Exec::Plain),
     }
 }
 
@@ -510,107 +514,36 @@ fn build_grid(args: &Args) -> Result<ScenarioGrid, String> {
     if cells.is_empty() {
         return Err("the grid is empty: every axis needs at least one value".to_string());
     }
+    // The replay coordinates must exist before the sweep runs, or its
+    // report would be lost to a late error.
+    if let Some(cell) = args.trace_cell.filter(|&c| c >= cells.len()) {
+        return Err(format!(
+            "--trace-cell {cell} is out of range (the grid has {} cells)",
+            cells.len()
+        ));
+    }
+    if let Some(trial) = args.trace_trial.filter(|&t| t >= args.trials) {
+        return Err(format!(
+            "--trace-trial {trial} is out of range (each cell runs {} trials)",
+            args.trials
+        ));
+    }
     Ok(ScenarioGrid { cells, trials: args.trials, seed: args.seed })
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("gqs_sweep: {e}");
-            std::process::exit(2);
-        }
+    let args = parse_args().unwrap_or_else(|e| usage_error(&e));
+    let grid = build_grid(&args).unwrap_or_else(|e| usage_error(&e));
+    let opts = SweepOptions { threads: args.threads, shard: args.shard, ..Default::default() };
+    let (report, exec) = match args.mode.as_str() {
+        "latency" => simulate::<Latency>(&args, &grid, opts),
+        "consensus" => simulate::<Consensus>(&args, &grid, opts),
+        "availability" => simulate::<Availability>(&args, &grid, opts),
+        "scale" => (timed(&grid, || grid.run_scale(&opts)), Exec::Plain),
+        _ => (timed(&grid, || grid.run(&opts)), Exec::Plain),
     };
-    let grid = match build_grid(&args) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("gqs_sweep: {e}");
-            std::process::exit(2);
-        }
-    };
-    let stall_log: StallLog = StallLog::default();
-    let opts = SweepOptions {
-        threads: args.threads,
-        shard: args.shard,
-        cancel: None,
-        stall_log: Some(stall_log.clone()),
-    };
-    let branch = match (args.branch_at, args.branches) {
-        (Some(at), Some(branches)) => Some(BranchSpec { at, branches, mode: args.branch_mode }),
-        _ => None,
-    };
-    let start = Instant::now();
-    let report = match (args.mode.as_str(), &branch, args.timeline) {
-        ("consensus", Some(b), _) => grid.run_consensus_branched(&opts, b),
-        ("availability", Some(b), _) => grid.run_availability_branched(&opts, b),
-        ("latency", _, Some(bucket)) => grid.run_latency_timeline(&opts, bucket),
-        ("consensus", _, Some(bucket)) => grid.run_consensus_timeline(&opts, bucket),
-        ("availability", _, Some(bucket)) => grid.run_availability_timeline(&opts, bucket),
-        ("latency", _, _) => grid.run_latency(&opts),
-        ("consensus", _, _) => grid.run_consensus(&opts),
-        ("availability", _, _) => grid.run_availability(&opts),
-        ("scale", _, _) => grid.run_scale(&opts),
-        _ => grid.run(&opts),
-    };
-    let elapsed = start.elapsed();
-    let total_trials = grid.trials * grid.cells.len();
-    eprintln!(
-        "gqs_sweep: {} cells x {} trials in {:.2?} ({:.0} trials/s)",
-        grid.cells.len(),
-        grid.trials,
-        elapsed,
-        total_trials as f64 / elapsed.as_secs_f64().max(1e-9),
-    );
-    // Stall diagnostics: the parallel engine pushes in worker order, so
-    // sort before naming "the first" stalled trial.
-    let mut stalls = stall_log.lock().expect("stall log poisoned").clone();
-    stalls.sort();
-    if let Some(first) = stalls.first() {
-        eprintln!(
-            "gqs_sweep: {} trial(s) hit the event cap; first: cell {} trial {} with {} stalled \
-             op(s) — replay it with --trace-out stall.jsonl --trace-cell {} --trace-trial {}",
-            stalls.len(),
-            first.cell,
-            first.trial,
-            first.stalled_ops,
-            first.cell,
-            first.trial,
-        );
-    }
-    if let Some(path) = &args.trace_out {
-        let mode = sim_mode(&args.mode);
-        let cell = args.trace_cell.unwrap_or(0);
-        let trial = args.trace_trial.unwrap_or(0);
-        let trace = match replay_trial_trace(&grid, mode, cell, trial, args.trace_format) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("gqs_sweep: cannot trace cell {cell} trial {trial}: {e}");
-                std::process::exit(2);
-            }
-        };
-        if let Err(e) = std::fs::write(path, trace) {
-            eprintln!("gqs_sweep: cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("gqs_sweep: wrote trace of cell {cell} trial {trial} to {path}");
-        // The flight recorder dumps exactly when the traced trial hit its
-        // event cap: stalled ops, armed timers, the last events.
-        match replay_trial_flight(&grid, mode, cell, trial) {
-            Ok(Some(dump)) => eprintln!("{dump}"),
-            Ok(None) => {}
-            Err(e) => eprintln!("gqs_sweep: flight replay failed: {e}"),
-        }
-    }
-    let rendered = match (args.format.as_str(), args.timeline) {
-        ("json", Some(bucket)) => {
-            let n_base = match args.mode.as_str() {
-                "latency" => LATENCY_METRICS.len(),
-                "consensus" => CONSENSUS_METRICS.len(),
-                _ => AVAILABILITY_METRICS.len(),
-            };
-            report_json_timeline(&grid, &report, n_base, bucket)
-        }
-        ("json", None) => report_json_branched(&grid, &report, branch.as_ref()),
+    let rendered = match args.format.as_str() {
+        "json" => report_json_exec(&grid, &report, exec),
         _ => report_csv(&grid, &report),
     };
     match &args.out {
@@ -623,4 +556,85 @@ fn main() {
         }
         None => print!("{rendered}"),
     }
+}
+
+/// Reports a usage error as one stderr line and exits 2.
+fn usage_error(e: &str) -> ! {
+    eprintln!("gqs_sweep: {e}");
+    std::process::exit(2);
+}
+
+/// Runs `sweep` and prints its timing line to stderr. `perfbench/run.py`
+/// parses this line, so its format is fixed.
+fn timed(grid: &ScenarioGrid, sweep: impl FnOnce() -> SweepReport) -> SweepReport {
+    let start = Instant::now();
+    let report = sweep();
+    let elapsed = start.elapsed();
+    let total_trials = grid.trials * grid.cells.len();
+    eprintln!(
+        "gqs_sweep: {} cells x {} trials in {:.2?} ({:.0} trials/s)",
+        grid.cells.len(),
+        grid.trials,
+        elapsed,
+        total_trials as f64 / elapsed.as_secs_f64().max(1e-9),
+    );
+    report
+}
+
+/// Runs the grid as simulated workload `W`, then prints the stall hint
+/// and writes the requested trace replay.
+fn simulate<W: Workload>(
+    args: &Args,
+    grid: &ScenarioGrid,
+    opts: SweepOptions,
+) -> (SweepReport, Exec) {
+    let exec = exec::<W>(args).unwrap_or_else(|e| usage_error(&e));
+    let stall_log = StallLog::default();
+    let opts = SweepOptions { stall_log: Some(stall_log.clone()), ..opts };
+    let report = timed(grid, || grid.run_sim::<W>(&opts, exec));
+    // The parallel engine pushes in worker order, so sort before naming
+    // "the first" stalled run. `perfbench/run.py` parses the `N trial(s)
+    // hit the event cap` prefix.
+    let mut stalls = stall_log.lock().expect("stall log poisoned").clone();
+    stalls.sort();
+    if let Some(first) = stalls.first() {
+        let mut trials: Vec<(usize, usize)> = stalls.iter().map(|s| (s.cell, s.trial)).collect();
+        trials.dedup();
+        let (cell, trial, ops) = (first.cell, first.trial, first.stalled_ops);
+        match first.branch {
+            None => eprintln!(
+                "gqs_sweep: {} trial(s) hit the event cap; first: cell {cell} trial {trial} with \
+                 {ops} stalled op(s) — replay it with --trace-out stall.jsonl --trace-cell {cell} \
+                 --trace-trial {trial}",
+                trials.len(),
+            ),
+            Some(branch) => eprintln!(
+                "gqs_sweep: {} trial(s) hit the event cap in {} branch run(s); first: cell \
+                 {cell} trial {trial} branch {branch} with {ops} stalled op(s)",
+                trials.len(),
+                stalls.len(),
+            ),
+        }
+    }
+    if let Some(path) = &args.trace_out {
+        let cell = args.trace_cell.unwrap_or(0);
+        let trial = args.trace_trial.unwrap_or(0);
+        let trace =
+            replay_trial_trace::<W>(grid, cell, trial, args.trace_format).unwrap_or_else(|e| {
+                usage_error(&format!("cannot trace cell {cell} trial {trial}: {e}"))
+            });
+        if let Err(e) = std::fs::write(path, trace) {
+            eprintln!("gqs_sweep: cannot write {path}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("gqs_sweep: wrote trace of cell {cell} trial {trial} to {path}");
+        // The flight recorder dumps exactly when the traced trial hit its
+        // event cap: stalled ops, armed timers, the last events.
+        match replay_trial_flight::<W>(grid, cell, trial) {
+            Ok(Some(dump)) => eprintln!("{dump}"),
+            Ok(None) => {}
+            Err(e) => eprintln!("gqs_sweep: flight replay failed: {e}"),
+        }
+    }
+    (report, exec)
 }

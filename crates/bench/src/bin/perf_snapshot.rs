@@ -31,8 +31,8 @@ use gqs_simnet::{CountingSink, Gossip, SharedSink, SimConfig, SimTime, Simulatio
 use gqs_workloads::generators::{random_scenarios, trial_rng};
 use gqs_workloads::par;
 use gqs_workloads::sweep::{
-    self, BranchMode, BranchSpec, MetricAgg, NetworkFamily, PatternFamily, ScenarioCell,
-    ScenarioGrid, ScheduleFamily, SweepOptions, TopologyFamily,
+    self, Availability, BranchMode, BranchSpec, Consensus, Exec, Latency, MetricAgg, NetworkFamily,
+    PatternFamily, ScenarioCell, ScenarioGrid, ScheduleFamily, SweepOptions, TopologyFamily,
 };
 
 /// The fixed ladder: (processes, patterns). Edge probability and failure
@@ -225,7 +225,7 @@ fn measure_fault_schedule() -> (usize, f64, f64) {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let t0 = Instant::now();
-            std::hint::black_box(grid.run_latency(&opts));
+            std::hint::black_box(grid.run_sim::<Latency>(&opts, Exec::Plain));
             best = best.min(t0.elapsed().as_nanos() as f64 / trials as f64);
         }
         best
@@ -268,10 +268,10 @@ fn measure_reliable_overhead() -> (usize, f64, f64) {
         best
     };
     let plain_ns = time(&|| {
-        std::hint::black_box(grid.run_latency(&opts));
+        std::hint::black_box(grid.run_sim::<Latency>(&opts, Exec::Plain));
     });
     let reliable_ns = time(&|| {
-        std::hint::black_box(grid.run_availability(&opts));
+        std::hint::black_box(grid.run_sim::<Availability>(&opts, Exec::Plain));
     });
     (trials, plain_ns, reliable_ns)
 }
@@ -307,7 +307,7 @@ fn measure_fork_replay() -> (usize, usize, u64, f64, f64) {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let t0 = Instant::now();
-            std::hint::black_box(grid.run_consensus_branched(&opts, &spec));
+            std::hint::black_box(grid.run_sim::<Consensus>(&opts, Exec::Branch(spec)));
             best = best.min(t0.elapsed().as_nanos() as f64 / (trials * branches) as f64);
         }
         best
@@ -354,7 +354,7 @@ fn measure_net_models() -> (usize, Vec<NetModelRun>) {
         let mut report = None;
         for _ in 0..3 {
             let t0 = Instant::now();
-            let r = grid.run_consensus(&opts);
+            let r = grid.run_sim::<Consensus>(&opts, Exec::Plain);
             best = best.min(t0.elapsed().as_nanos() as f64 / trials as f64);
             report = Some(r);
         }
@@ -640,8 +640,8 @@ fn main() {
     json.push_str("  \"reliable_overhead\": {\n");
     json.push_str(
         "    \"note\": \"simulated register trials on complete(9), static schedule, loss=0, \
-         all ops complete with zero retransmits: plain flooded ABD (run_latency) vs the \
-         ack/retransmit/backoff stack (run_availability); ns per trial, single-threaded\",\n",
+         all ops complete with zero retransmits: plain flooded ABD (latency mode) vs the \
+         ack/retransmit/backoff stack (availability mode); ns per trial, single-threaded\",\n",
     );
     json.push_str(&format!("    \"trials\": {ro_trials},\n"));
     json.push_str(&format!("    \"plain_abd_ns_per_trial\": {},\n", json_escape_free(plain_ns)));

@@ -178,11 +178,15 @@ fn branch_flags_are_validated() {
         &["--mode", "availability", "--branch-at", "100000", "--branches", "2"],
         "past the --mode availability horizon of 100000",
     );
-    // Branching only exists for the modes whose trials can fork.
-    for mode in ["solvability", "latency", "scale"] {
+    assert_clean_error(
+        &["--mode", "latency", "--branch-at", "100000", "--branches", "2"],
+        "past the --mode latency horizon of 100000",
+    );
+    // Branching only exists for the simulated modes, whose trials can fork.
+    for mode in ["solvability", "scale"] {
         assert_clean_error(
             &["--mode", mode, "--branch-at", "600", "--branches", "2"],
-            "need --mode consensus or availability",
+            "need --mode latency, consensus or availability",
         );
     }
     // The flags come as a pair.
@@ -208,6 +212,22 @@ fn branch_flags_are_validated() {
         "csv",
     ]);
     assert_eq!(code, Some(0), "a well-formed branched sweep runs");
+    // Latency trials fork like the other simulated modes.
+    let (code, _) = run(&[
+        "--mode",
+        "latency",
+        "--n",
+        "4",
+        "--trials",
+        "1",
+        "--branch-at",
+        "600",
+        "--branches",
+        "2",
+        "--format",
+        "csv",
+    ]);
+    assert_eq!(code, Some(0), "a well-formed branched latency sweep runs");
 }
 
 #[test]

@@ -557,6 +557,171 @@ fn event_capped_sweeps_hint_at_the_trace_plane_and_dump_the_flight_recorder() {
     assert!(stderr.contains("armed timers"), "flight dump lacks armed timers:\n{stderr}");
 }
 
+/// Branched runs log their stalls too, in every simulated mode: each
+/// continuation that hits the event cap is counted, and the hint names
+/// cell, trial and branch. It offers no replay flags, because trace
+/// replay re-runs the unbranched trial.
+#[test]
+fn branched_sweeps_log_their_stalls() {
+    for mode in ["latency", "consensus", "availability"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
+            .env("GQS_MAX_EVENTS", "200")
+            .args([
+                "--mode",
+                mode,
+                "--family",
+                "regions",
+                "--regions",
+                "3",
+                "--n",
+                "6",
+                "--p-chan",
+                "0",
+                "--loss",
+                "0.5",
+                "--schedule",
+                "region-outage",
+                "--trials",
+                "2",
+                "--seed",
+                "3",
+                "--branch-at",
+                "500",
+                "--branches",
+                "2",
+            ])
+            .output()
+            .expect("gqs_sweep runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("gqs_sweep: 2 trial(s) hit the event cap in 4 branch run(s)"),
+            "{mode}: branched stalls went unlogged:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("first: cell 0 trial 0 branch 0 with"),
+            "{mode}: hint lacks the branch:\n{stderr}"
+        );
+        assert!(
+            !stderr.contains("--trace-cell"),
+            "{mode}: no replay hint when branched:\n{stderr}"
+        );
+    }
+}
+
+/// Replay coordinates outside the grid are usage errors caught before
+/// the sweep runs, so no report is computed and then lost.
+#[test]
+fn out_of_range_trace_coordinates_fail_before_the_sweep() {
+    let path = std::env::temp_dir().join("gqs_never_written.jsonl");
+    for (flag, value, needle) in [
+        ("--trace-cell", "99", "--trace-cell 99 is out of range (the grid has 1 cells)"),
+        ("--trace-trial", "2", "--trace-trial 2 is out of range (each cell runs 2 trials)"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
+            .args(["--mode", "latency", "--trials", "2", "--trace-out", path.to_str().unwrap()])
+            .args([flag, value])
+            .output()
+            .expect("gqs_sweep runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag} {value}: one error line:\n{stderr}");
+        assert!(stderr.contains(needle), "{flag} {value}:\n{stderr}");
+        assert!(!stderr.contains(" trials in "), "{flag} {value}: the sweep ran:\n{stderr}");
+        assert!(out.stdout.is_empty());
+    }
+    assert!(!path.exists());
+}
+
+/// Runs `gqs_sweep` with `args` and returns its stdout.
+fn sweep_stdout(args: &[&str]) -> String {
+    let out =
+        Command::new(env!("CARGO_BIN_EXE_gqs_sweep")).args(args).output().expect("gqs_sweep runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("output is UTF-8")
+}
+
+/// The exact invocation `golden/tiny_timeline.json` was produced with:
+/// the trace-plane grid in availability mode, sampled in 25000-tick
+/// windows.
+const TIMELINE_GOLDEN_ARGS: &[&str] = &[
+    "--mode",
+    "availability",
+    "--family",
+    "complete",
+    "--n",
+    "4",
+    "--patterns",
+    "rotating",
+    "--p-chan",
+    "0.2",
+    "--loss",
+    "0.2",
+    "--trials",
+    "2",
+    "--seed",
+    "11",
+    "--timeline",
+    "25000",
+    "--format",
+    "json",
+];
+
+#[test]
+fn tiny_timeline_matches_golden() {
+    let golden = include_str!("../golden/tiny_timeline.json");
+    assert_eq!(
+        sweep_stdout(TIMELINE_GOLDEN_ARGS),
+        golden,
+        "timeline output drifted from golden/tiny_timeline.json"
+    );
+    let single = sweep_stdout(&[TIMELINE_GOLDEN_ARGS, &["--threads", "1"]].concat());
+    assert_eq!(single, golden, "--threads 1 timeline output differs from golden");
+}
+
+/// The exact invocation `golden/tiny_branch.json` was produced with: the
+/// consensus golden grid forked at t = 2000 into three continuations.
+const BRANCH_GOLDEN_ARGS: &[&str] = &[
+    "--mode",
+    "consensus",
+    "--family",
+    "regions",
+    "--regions",
+    "3",
+    "--n",
+    "6",
+    "--patterns",
+    "rotating",
+    "--p-chan",
+    "0",
+    "--schedule",
+    "region-outage",
+    "--trials",
+    "4",
+    "--seed",
+    "13",
+    "--branch-at",
+    "2000",
+    "--branches",
+    "3",
+    "--format",
+    "json",
+];
+
+#[test]
+fn tiny_branch_matches_golden_in_both_branch_modes() {
+    let golden = include_str!("../golden/tiny_branch.json");
+    assert_eq!(
+        sweep_stdout(BRANCH_GOLDEN_ARGS),
+        golden,
+        "branched output drifted from golden/tiny_branch.json"
+    );
+    let straight = sweep_stdout(&[BRANCH_GOLDEN_ARGS, &["--branch-mode", "straight"]].concat());
+    assert_eq!(straight, golden, "straight-line branches differ from the fork golden");
+    let eight = sweep_stdout(&[BRANCH_GOLDEN_ARGS, &["--threads", "8"]].concat());
+    assert_eq!(eight, golden, "--threads 8 branched output differs from golden");
+}
+
 #[test]
 fn timeline_json_renders_windowed_series() {
     let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))

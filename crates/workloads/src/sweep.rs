@@ -56,6 +56,18 @@
 //! [`report_json`]/[`report_csv`] render machine-readable tables, and
 //! [`parse_usize_list`]/[`parse_f64_list`] implement the CLI's grid
 //! grammar (`4..8`, `4..16:2`, `0.1,0.3`, single values).
+//!
+//! # Simulated workloads
+//!
+//! The simulated modes — [`Latency`], [`Consensus`] and [`Availability`]
+//! — are the three impls of one [`Workload`] trait: a `setup` that draws
+//! a cell's scenario and builds its simulation, and a `measure` that
+//! reads a metric row off the finished run. One driver,
+//! [`ScenarioGrid::run_sim`], runs any of them in any [`Exec`] (plain,
+//! timeline windows, or fork branching) and logs every event-capped run
+//! to the [`StallLog`]; one replay, [`replay_trial_trace`], re-runs a
+//! trial with a trace sink; one renderer, [`report_json_exec`], writes
+//! every execution's JSON.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -66,7 +78,9 @@ use std::thread;
 
 use gqs_consensus::{majority_consensus_nodes, ConsensusNode, ProposalMode};
 use gqs_core::finder::{find_gqs, qs_plus_exists};
-use gqs_core::{majority_system, FailProneSystem, FailurePattern, NetworkGraph, ProcessId};
+use gqs_core::{
+    majority_system, FailProneSystem, FailurePattern, NetworkGraph, ProcessId, QuorumFamily,
+};
 use gqs_faults::{scenarios, FaultScript, RegionLayout};
 use gqs_registers::{
     abd_register_nodes, reliable_abd_register_nodes, sampled_abd_nodes, AbdRegister, RegOp, ScaleOp,
@@ -365,23 +379,27 @@ pub struct SweepOptions {
     pub shard: Option<usize>,
     /// Cooperative cancellation flag, checked before every trial.
     pub cancel: Option<CancelToken>,
-    /// When set, simulated-mode runners append a [`Stall`] for every
-    /// trial that hits its event cap ([`StopReason::EventCap`]), so the
-    /// CLI can name the first stalled `(cell, trial)` and point at the
-    /// trace replay flags. Push order is worker-schedule-dependent —
-    /// sort before rendering. The log never feeds back into the
-    /// aggregates, so the determinism contract is untouched.
+    /// When set, [`ScenarioGrid::run_sim`] appends a [`Stall`] for every
+    /// trial run (every branch of a branched trial) that hits its event
+    /// cap ([`StopReason::EventCap`]), so the CLI can name the first
+    /// stalled `(cell, trial, branch)` and point at the trace replay
+    /// flags. Push order is worker-schedule-dependent — sort before
+    /// rendering. The log never feeds back into the aggregates, so the
+    /// determinism contract is untouched.
     pub stall_log: Option<StallLog>,
 }
 
-/// One trial that hit its event cap during a sweep: the diagnosable
-/// address (`--trace-cell CELL --trace-trial TRIAL`) of a stuck run.
+/// One trial run that hit its event cap during a sweep: the diagnosable
+/// address of a stuck run (`--trace-cell CELL --trace-trial TRIAL` for an
+/// unbranched trial).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Stall {
     /// Grid-cell index of the stalled trial.
     pub cell: usize,
     /// Trial index within the cell.
     pub trial: usize,
+    /// Continuation index when the trial was branched, `None` otherwise.
+    pub branch: Option<usize>,
     /// Operations still pending when the cap hit.
     pub stalled_ops: u64,
 }
@@ -392,9 +410,15 @@ pub type StallLog = Arc<Mutex<Vec<Stall>>>;
 
 /// Appends a [`Stall`] when `reason` is an event-cap stop and a log is
 /// attached.
-fn note_stall(log: &Option<StallLog>, cell: usize, trial: usize, reason: StopReason) {
+fn note_stall(
+    log: &Option<StallLog>,
+    cell: usize,
+    trial: usize,
+    branch: Option<usize>,
+    reason: StopReason,
+) {
     if let (Some(log), StopReason::EventCap { stalled_ops }) = (log, reason) {
-        log.lock().expect("stall log poisoned").push(Stall { cell, trial, stalled_ops });
+        log.lock().expect("stall log poisoned").push(Stall { cell, trial, branch, stalled_ops });
     }
 }
 
@@ -434,6 +458,21 @@ impl BranchSpec {
     pub fn branch_seed(sim_seed: u64, b: usize) -> u64 {
         sim_seed ^ (b as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
+}
+
+/// How [`ScenarioGrid::run_sim`] executes every trial. The three are
+/// exclusive by construction: a branched trial has no single timeline.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Exec {
+    /// Run each trial straight to completion; one metric row per trial.
+    Plain,
+    /// Run each trial in windows of this many ticks, appending
+    /// [`TIMELINE_SERIES`] samples per window to its row. Windowing is
+    /// pure observation: the base metrics equal the plain run's.
+    Timeline(u64),
+    /// Fork each trial at the branch point into seeded continuations, one
+    /// metric row each (see [`BranchSpec`]).
+    Branch(BranchSpec),
 }
 
 /// Aggregates for one grid cell.
@@ -1139,6 +1178,84 @@ pub fn scenario_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
     ]
 }
 
+/// A simulated sweep mode: how one trial builds its protocol stack from a
+/// scenario draw, and what it reads off the finished run. The driver
+/// ([`ScenarioGrid::run_sim`]) and trace replay
+/// ([`replay_trial_trace`]/[`replay_trial_flight`]) are written once
+/// over this trait, so every mode gets plain runs, timelines, fork
+/// branching, stall logging and replay alike.
+pub trait Workload {
+    /// The protocol every process runs.
+    type P: Protocol;
+    /// What [`Workload::measure`] needs from setup besides the run
+    /// itself.
+    type Ctx;
+    /// Metric names, one per element of every measured row.
+    const METRICS: &'static [&'static str];
+    /// Hard stop of every trial's simulation (virtual ticks); branch
+    /// points and timeline windows live below it.
+    const HORIZON: u64;
+
+    /// Draws the cell's scenario from `rng`, builds the simulation with
+    /// its fault schedule applied and operations invoked, and returns it
+    /// with the measurement context and the drawn simulator seed (branch
+    /// seeds derive from it). `None` when the draw leaves nothing to run
+    /// (an empty fail-prone system or no invokers); the trial then
+    /// reports zeros.
+    fn setup(
+        cell: &ScenarioCell,
+        rng: &mut SplitMix64,
+    ) -> Option<(Simulation<Self::P>, Self::Ctx, u64)>;
+
+    /// Reads one [`Workload::METRICS`] row off a finished run.
+    fn measure(sim: &Simulation<Self::P>, cell: &ScenarioCell, ctx: &Self::Ctx) -> Vec<f64>;
+}
+
+/// A simulation started over one scenario draw, with the processes
+/// operations are invoked at (round-robin), the fault schedule and the
+/// simulator seed.
+type Started<P> = (Simulation<P>, Vec<ProcessId>, FailureSchedule, u64);
+
+/// Draws the cell's scenario in the order every simulated mode draws it —
+/// topology, fail-prone system, simulator seed — and starts `nodes` over
+/// it: `delay` under the cell's network family, the cell's schedule
+/// compiled with `timing` applied. `None` when the cell draws an empty
+/// fail-prone system or no invokers.
+fn start_sim<P: Protocol>(
+    cell: &ScenarioCell,
+    rng: &mut SplitMix64,
+    timing: &ScheduleTiming,
+    delay: DelayModel,
+    horizon: u64,
+    nodes: Vec<P>,
+) -> Option<Started<P>> {
+    let g = cell.family.build(cell.n, cell.density, rng);
+    let fp = cell.patterns.build(&g, cell.p_chan, rng);
+    let sim_seed = rng.next_u64();
+    if fp.is_empty() {
+        return None;
+    }
+    let pattern = fp.pattern(0);
+    let invokers = cell.schedule.invokers(cell.n, pattern);
+    if invokers.is_empty() {
+        return None;
+    }
+    let schedule = cell.schedule.script(cell.family, cell.n, &g, pattern, timing).to_schedule();
+    let cfg = SimConfig {
+        seed: sim_seed,
+        delay,
+        net: Some(cell.net.net_model(delay, cell.region_spec())),
+        topology: Topology::from(g),
+        horizon: SimTime(horizon),
+        loss: cell.loss,
+        max_events: sweep_max_events(),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulation::new(cfg, nodes);
+    sim.apply_failures(&schedule);
+    Some((sim, invokers, schedule, sim_seed))
+}
+
 /// The metrics every protocol-latency trial reports, in row order:
 ///
 /// * `completed` — fraction of the trial's operations that completed
@@ -1162,12 +1279,14 @@ const LATENCY_OPS: u64 = 6;
 /// mostly run uncontended under the default `[1, 10]` delay model.
 const LATENCY_OP_SPACING: u64 = 400;
 /// Hard stop per trial; stalled runs go quiescent long before this.
-/// Public so the CLI can reject a `--branch-at` past the horizon.
 pub const LATENCY_HORIZON: u64 = 100_000;
 
-/// Runs one protocol-latency trial: builds the cell's topology and
-/// fail-prone system exactly like [`scenario_trial`], then drives an
-/// ABD majority register wrapped in [`Flood`] over that topology — the
+/// The simulated stack of the register workloads.
+type RegisterStack = Flood<AbdRegister<u8, u64>>;
+
+/// The protocol-latency workload: builds the cell's topology and
+/// fail-prone system exactly like [`scenario_trial`], then drives an ABD
+/// majority register wrapped in [`Flood`] over that topology — the
 /// paper's §5 transitivity construction operationalized — under the
 /// cell's fault schedule ([`ScheduleFamily`]; `Static` replays the
 /// historical "pattern `f0` at time zero" adversary) and measures
@@ -1182,52 +1301,52 @@ pub const LATENCY_HORIZON: u64 = 100_000;
 /// faults sever too much for too long, `completed` drops below 1 — the
 /// availability/latency trade-off of the classical quorum-system
 /// literature, now measured per cell *and per fault timeline*.
-pub fn latency_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
-    let Some((mut sim, (), _)) = latency_setup(cell, rng) else {
-        return vec![0.0; LATENCY_METRICS.len()];
-    };
-    sim.run_until_ops_complete();
-    latency_measure(&sim)
+#[derive(Copy, Clone, Debug)]
+pub struct Latency;
+
+impl Workload for Latency {
+    type P = RegisterStack;
+    type Ctx = FailureSchedule;
+    const METRICS: &'static [&'static str] = LATENCY_METRICS;
+    const HORIZON: u64 = LATENCY_HORIZON;
+
+    fn setup(
+        cell: &ScenarioCell,
+        rng: &mut SplitMix64,
+    ) -> Option<(Simulation<RegisterStack>, FailureSchedule, u64)> {
+        register_setup(cell, rng, |n, reads, writes| abd_register_nodes(n, reads, writes, 0))
+    }
+
+    fn measure(sim: &Simulation<RegisterStack>, _: &ScenarioCell, _: &FailureSchedule) -> Vec<f64> {
+        let lats: Vec<u64> = sim.history().ops().iter().filter_map(|r| r.latency()).collect();
+        let completed = lats.len() as f64 / LATENCY_OPS as f64;
+        let lat_mean =
+            if lats.is_empty() { 0.0 } else { lats.iter().sum::<u64>() as f64 / lats.len() as f64 };
+        let lat_max = lats.iter().max().copied().unwrap_or(0) as f64;
+        let msgs_per_op = sim.stats().delivered as f64 / LATENCY_OPS as f64;
+        vec![completed, lat_mean, lat_max, msgs_per_op]
+    }
 }
 
-/// The flooded ABD register stack ready to run: scenario drawn, schedule
-/// applied, operations invoked. `None` when the cell draws an empty
-/// fail-prone system or no invokers (the trial reports zeros). Split out
-/// of [`latency_trial`] so trace replay and timeline runs can drive the
-/// exact same simulation differently.
-fn latency_setup(
+/// The flooded register stack both register workloads run: scenario
+/// drawn, schedule applied, [`LATENCY_OPS`] operations invoked on the
+/// latency cadence. [`Latency`] and [`Availability`] differ only in
+/// `build`, which makes the per-process registers from the majority
+/// system's read and write quorums. The schedule is the context
+/// (availability's `time_to_heal` needs its last heal).
+fn register_setup(
     cell: &ScenarioCell,
     rng: &mut SplitMix64,
-) -> PreparedSim<Flood<AbdRegister<u8, u64>>, ()> {
-    let g = cell.family.build(cell.n, cell.density, rng);
-    let fp = cell.patterns.build(&g, cell.p_chan, rng);
-    let sim_seed = rng.next_u64();
-    if fp.is_empty() {
-        return None;
-    }
-    let pattern = fp.pattern(0);
-    let invokers = cell.schedule.invokers(cell.n, pattern);
-    if invokers.is_empty() {
-        return None;
-    }
-    let script = cell.schedule.script(cell.family, cell.n, &g, pattern, &LATENCY_TIMING);
+    build: impl FnOnce(usize, QuorumFamily, QuorumFamily) -> Vec<AbdRegister<u8, u64>>,
+) -> Option<(Simulation<RegisterStack>, FailureSchedule, u64)> {
     let qs = majority_system(cell.n).expect("majority system exists for n >= 1");
-    let nodes: Vec<Flood<_>> =
-        abd_register_nodes::<u8, u64>(cell.n, qs.reads().clone(), qs.writes().clone(), 0)
-            .into_iter()
-            .map(Flood::new)
-            .collect();
-    let cfg = SimConfig {
-        seed: sim_seed,
-        net: Some(cell.net.net_model(SimConfig::default().delay, cell.region_spec())),
-        topology: Topology::from(g),
-        horizon: SimTime(LATENCY_HORIZON),
-        loss: cell.loss,
-        max_events: sweep_max_events(),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(cfg, nodes);
-    sim.apply_failures(&script.to_schedule());
+    let nodes: Vec<RegisterStack> = build(cell.n, qs.reads().clone(), qs.writes().clone())
+        .into_iter()
+        .map(Flood::new)
+        .collect();
+    let delay = SimConfig::default().delay;
+    let (mut sim, invokers, schedule, sim_seed) =
+        start_sim(cell, rng, &LATENCY_TIMING, delay, LATENCY_HORIZON, nodes)?;
     for i in 0..LATENCY_OPS {
         let p = invokers[(i as usize) % invokers.len()];
         let at = SimTime(10 + i * LATENCY_OP_SPACING);
@@ -1237,18 +1356,7 @@ fn latency_setup(
             sim.invoke_at(at, p, RegOp::Read { reg: 0 });
         }
     }
-    Some((sim, (), sim_seed))
-}
-
-/// Reads [`LATENCY_METRICS`] off a finished latency run.
-fn latency_measure(sim: &Simulation<Flood<AbdRegister<u8, u64>>>) -> Vec<f64> {
-    let lats: Vec<u64> = sim.history().ops().iter().filter_map(|r| r.latency()).collect();
-    let completed = lats.len() as f64 / LATENCY_OPS as f64;
-    let lat_mean =
-        if lats.is_empty() { 0.0 } else { lats.iter().sum::<u64>() as f64 / lats.len() as f64 };
-    let lat_max = lats.iter().max().copied().unwrap_or(0) as f64;
-    let msgs_per_op = sim.stats().delivered as f64 / LATENCY_OPS as f64;
-    vec![completed, lat_mean, lat_max, msgs_per_op]
+    Some((sim, schedule, sim_seed))
 }
 
 /// The event cap simulated sweep trials run under: [`SimConfig`]'s
@@ -1289,11 +1397,10 @@ const CONSENSUS_DELTA: u64 = 5;
 /// Global stabilization time: late enough that early views churn, early
 /// enough that decisions land well before the horizon.
 const CONSENSUS_GST: u64 = 1_000;
-/// Hard stop per consensus trial. Public so the CLI can reject a
-/// `--branch-at` past the horizon.
+/// Hard stop per consensus trial.
 pub const CONSENSUS_HORIZON: u64 = 200_000;
 
-/// Runs one single-shot consensus trial: builds the cell's topology and
+/// The single-shot consensus workload: builds the cell's topology and
 /// fail-prone system exactly like [`scenario_trial`], then drives the
 /// Figure 6 push-consensus protocol (majority quorums, flooded, view
 /// synchronizer with `C = 50`) under partial synchrony (`GST = 1000`,
@@ -1301,96 +1408,62 @@ pub const CONSENSUS_HORIZON: u64 = 200_000;
 /// [`CONSENSUS_METRICS`].
 ///
 /// Every invoker proposes its own value at the start of the run; the
-/// trial asserts Agreement (all decided values equal — a safety tripwire
-/// that has caught real bugs in weaker harnesses) and reports liveness
-/// figures. Deterministic in the per-trial seed like every other trial.
-pub fn consensus_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
-    let Some((mut sim, invokers, _)) = consensus_setup(cell, rng) else {
-        return vec![0.0; CONSENSUS_METRICS.len()];
-    };
-    sim.run_until_ops_complete();
-    consensus_measure(&sim, cell, &invokers)
-}
+/// measurement asserts Agreement (all decided values equal — a safety
+/// tripwire that has caught real bugs in weaker harnesses) and reports
+/// liveness figures. The context is the invoker list.
+#[derive(Copy, Clone, Debug)]
+pub struct Consensus;
 
-/// What a `*_setup` function hands to [`branch_rows`]: the warmed-up
-/// simulation, mode-specific measurement context `X`, and the drawn
-/// simulator seed that branch seeds derive from. `None` when the cell
-/// draws an empty scenario (the trial reports zeros).
-type PreparedSim<P, X> = Option<(Simulation<P>, X, u64)>;
+impl Workload for Consensus {
+    type P = Flood<ConsensusNode<u64>>;
+    type Ctx = Vec<ProcessId>;
+    const METRICS: &'static [&'static str] = CONSENSUS_METRICS;
+    const HORIZON: u64 = CONSENSUS_HORIZON;
 
-/// The consensus simulation ready to run: scenario drawn, nodes built,
-/// schedule applied, proposals invoked. `None` when the cell draws an
-/// empty fail-prone system or no invokers (the trial reports zeros).
-/// Also returns the drawn simulator seed, which branch seeds derive
-/// from. Split out of [`consensus_trial`] so branched execution can
-/// stop the same run at the branch point.
-fn consensus_setup(
-    cell: &ScenarioCell,
-    rng: &mut SplitMix64,
-) -> PreparedSim<Flood<ConsensusNode<u64>>, Vec<ProcessId>> {
-    let g = cell.family.build(cell.n, cell.density, rng);
-    let fp = cell.patterns.build(&g, cell.p_chan, rng);
-    let sim_seed = rng.next_u64();
-    if fp.is_empty() {
-        return None;
+    fn setup(
+        cell: &ScenarioCell,
+        rng: &mut SplitMix64,
+    ) -> Option<(Simulation<Self::P>, Vec<ProcessId>, u64)> {
+        let nodes = majority_consensus_nodes::<u64>(cell.n, CONSENSUS_C, ProposalMode::Push);
+        let delay = DelayModel::PartialSynchrony {
+            pre_min: 1,
+            pre_max: 100,
+            gst: CONSENSUS_GST,
+            delta: CONSENSUS_DELTA,
+        };
+        let (mut sim, invokers, _, sim_seed) =
+            start_sim(cell, rng, &CONSENSUS_TIMING, delay, CONSENSUS_HORIZON, nodes)?;
+        for (i, &p) in invokers.iter().enumerate() {
+            sim.invoke_at(SimTime(10 + i as u64), p, p.index() as u64 + 1);
+        }
+        Some((sim, invokers, sim_seed))
     }
-    let pattern = fp.pattern(0);
-    let invokers = cell.schedule.invokers(cell.n, pattern);
-    if invokers.is_empty() {
-        return None;
-    }
-    let script = cell.schedule.script(cell.family, cell.n, &g, pattern, &CONSENSUS_TIMING);
-    let nodes = majority_consensus_nodes::<u64>(cell.n, CONSENSUS_C, ProposalMode::Push);
-    let delay = DelayModel::PartialSynchrony {
-        pre_min: 1,
-        pre_max: 100,
-        gst: CONSENSUS_GST,
-        delta: CONSENSUS_DELTA,
-    };
-    let cfg = SimConfig {
-        seed: sim_seed,
-        delay,
-        net: Some(cell.net.net_model(delay, cell.region_spec())),
-        topology: Topology::from(g),
-        horizon: SimTime(CONSENSUS_HORIZON),
-        loss: cell.loss,
-        max_events: sweep_max_events(),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(cfg, nodes);
-    sim.apply_failures(&script.to_schedule());
-    for (i, &p) in invokers.iter().enumerate() {
-        sim.invoke_at(SimTime(10 + i as u64), p, p.index() as u64 + 1);
-    }
-    Some((sim, invokers, sim_seed))
-}
 
-/// Reads [`CONSENSUS_METRICS`] off a finished consensus run (and trips
-/// the Agreement assertion).
-fn consensus_measure(
-    sim: &Simulation<Flood<ConsensusNode<u64>>>,
-    cell: &ScenarioCell,
-    invokers: &[ProcessId],
-) -> Vec<f64> {
-    // One pass collects everything a decision yields: the value for the
-    // Agreement tripwire, the (view, time) pair for the metrics.
-    let decisions: Vec<(u64, u64, SimTime)> = (0..cell.n)
-        .filter_map(|p| {
-            sim.node(ProcessId(p)).inner().decision().map(|&(v, view, at)| (v, view, at))
-        })
-        .collect();
-    assert!(
-        decisions.windows(2).all(|w| w[0].0 == w[1].0),
-        "consensus Agreement violated: {:?}",
-        decisions.iter().map(|&(v, _, _)| v).collect::<Vec<_>>()
-    );
-    let decided = decisions.len() as f64 / cell.n as f64;
-    let first = decisions.iter().min_by_key(|&&(_, _, at)| at);
-    let views = first.map(|&(_, v, _)| v).unwrap_or(0) as f64;
-    let decide_lat = first.map(|&(_, _, at)| at.ticks()).unwrap_or(0) as f64;
-    let lat_over_cdelta = decide_lat / (CONSENSUS_C * CONSENSUS_DELTA) as f64;
-    let msgs_per_op = sim.stats().delivered as f64 / invokers.len() as f64;
-    vec![decided, views, decide_lat, lat_over_cdelta, msgs_per_op]
+    fn measure(
+        sim: &Simulation<Self::P>,
+        cell: &ScenarioCell,
+        invokers: &Vec<ProcessId>,
+    ) -> Vec<f64> {
+        // One pass collects everything a decision yields: the value for the
+        // Agreement tripwire, the (view, time) pair for the metrics.
+        let decisions: Vec<(u64, u64, SimTime)> = (0..cell.n)
+            .filter_map(|p| {
+                sim.node(ProcessId(p)).inner().decision().map(|&(v, view, at)| (v, view, at))
+            })
+            .collect();
+        assert!(
+            decisions.windows(2).all(|w| w[0].0 == w[1].0),
+            "consensus Agreement violated: {:?}",
+            decisions.iter().map(|&(v, _, _)| v).collect::<Vec<_>>()
+        );
+        let decided = decisions.len() as f64 / cell.n as f64;
+        let first = decisions.iter().min_by_key(|&&(_, _, at)| at);
+        let views = first.map(|&(_, v, _)| v).unwrap_or(0) as f64;
+        let decide_lat = first.map(|&(_, _, at)| at.ticks()).unwrap_or(0) as f64;
+        let lat_over_cdelta = decide_lat / (CONSENSUS_C * CONSENSUS_DELTA) as f64;
+        let msgs_per_op = sim.stats().delivered as f64 / invokers.len() as f64;
+        vec![decided, views, decide_lat, lat_over_cdelta, msgs_per_op]
+    }
 }
 
 /// The metrics every availability trial reports, in row order:
@@ -1415,218 +1488,66 @@ pub const AVAILABILITY_METRICS: &[&str] =
 /// is retried several times before and shortly after the heal.
 const AVAILABILITY_RETRY: u64 = 150;
 
-/// Runs one availability trial: the same topology/fail-prone draw and
-/// fault schedule as [`latency_trial`], but driving the *self-healing*
+/// The availability workload: the same topology/fail-prone draw, fault
+/// schedule and op cadence as [`Latency`], but driving the *self-healing*
 /// register stack — [`gqs_registers::reliable_abd_register_nodes`], whose
 /// classical engine retransmits unanswered quorum requests every
 /// a fixed interval (150 ticks, with replica-side duplicate suppression)
 /// — over channels that drop each message with probability `cell.loss`.
-/// Operations are invoked open-loop on the latency-mode cadence, so an op
-/// that lands inside an outage window simply waits out the fault and
-/// completes after the heal with **no client-side retry**; the trial
-/// measures [`AVAILABILITY_METRICS`].
-pub fn availability_trial(cell: &ScenarioCell, rng: &mut SplitMix64) -> Vec<f64> {
-    let Some((mut sim, schedule, _)) = availability_setup(cell, rng) else {
-        return vec![0.0; AVAILABILITY_METRICS.len()];
-    };
-    sim.run_until_ops_complete();
-    availability_measure(&sim, &schedule)
-}
+/// Operations are invoked open-loop, so an op that lands inside an outage
+/// window simply waits out the fault and completes after the heal with
+/// **no client-side retry**; the trial measures [`AVAILABILITY_METRICS`].
+#[derive(Copy, Clone, Debug)]
+pub struct Availability;
 
-/// The self-healing register stack ready to run, plus the fault schedule
-/// (the `time_to_heal` metric needs its last heal time) and the drawn
-/// simulator seed (branch seeds derive from it). `None` when the cell
-/// draws an empty fail-prone system or no invokers. Split out of
-/// [`availability_trial`] so branched execution can stop the same run at
-/// the branch point.
-fn availability_setup(
-    cell: &ScenarioCell,
-    rng: &mut SplitMix64,
-) -> PreparedSim<Flood<AbdRegister<u8, u64>>, FailureSchedule> {
-    let g = cell.family.build(cell.n, cell.density, rng);
-    let fp = cell.patterns.build(&g, cell.p_chan, rng);
-    let sim_seed = rng.next_u64();
-    if fp.is_empty() {
-        return None;
+impl Workload for Availability {
+    type P = RegisterStack;
+    type Ctx = FailureSchedule;
+    const METRICS: &'static [&'static str] = AVAILABILITY_METRICS;
+    const HORIZON: u64 = LATENCY_HORIZON;
+
+    fn setup(
+        cell: &ScenarioCell,
+        rng: &mut SplitMix64,
+    ) -> Option<(Simulation<RegisterStack>, FailureSchedule, u64)> {
+        register_setup(cell, rng, |n, reads, writes| {
+            reliable_abd_register_nodes(n, reads, writes, 0, AVAILABILITY_RETRY)
+        })
     }
-    let pattern = fp.pattern(0);
-    let invokers = cell.schedule.invokers(cell.n, pattern);
-    if invokers.is_empty() {
-        return None;
-    }
-    let script = cell.schedule.script(cell.family, cell.n, &g, pattern, &LATENCY_TIMING);
-    let schedule = script.to_schedule();
-    let qs = majority_system(cell.n).expect("majority system exists for n >= 1");
-    let nodes: Vec<Flood<_>> = reliable_abd_register_nodes::<u8, u64>(
-        cell.n,
-        qs.reads().clone(),
-        qs.writes().clone(),
-        0,
-        AVAILABILITY_RETRY,
-    )
-    .into_iter()
-    .map(Flood::new)
-    .collect();
-    let cfg = SimConfig {
-        seed: sim_seed,
-        net: Some(cell.net.net_model(SimConfig::default().delay, cell.region_spec())),
-        topology: Topology::from(g),
-        horizon: SimTime(LATENCY_HORIZON),
-        loss: cell.loss,
-        max_events: sweep_max_events(),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(cfg, nodes);
-    sim.apply_failures(&schedule);
-    for i in 0..LATENCY_OPS {
-        let p = invokers[(i as usize) % invokers.len()];
-        let at = SimTime(10 + i * LATENCY_OP_SPACING);
-        if i % 2 == 0 {
-            sim.invoke_at(at, p, RegOp::Write { reg: 0, value: i });
-        } else {
-            sim.invoke_at(at, p, RegOp::Read { reg: 0 });
+
+    fn measure(
+        sim: &Simulation<RegisterStack>,
+        _: &ScenarioCell,
+        schedule: &FailureSchedule,
+    ) -> Vec<f64> {
+        let invoked = sim.history().ops().len();
+        if invoked == 0 {
+            return vec![0.0; AVAILABILITY_METRICS.len()];
         }
-    }
-    Some((sim, schedule, sim_seed))
-}
-
-/// Reads [`AVAILABILITY_METRICS`] off a finished availability run.
-fn availability_measure(
-    sim: &Simulation<Flood<AbdRegister<u8, u64>>>,
-    schedule: &FailureSchedule,
-) -> Vec<f64> {
-    let invoked = sim.history().ops().len();
-    if invoked == 0 {
-        return vec![0.0; AVAILABILITY_METRICS.len()];
-    }
-    let done: Vec<SimTime> = sim.history().ops().iter().filter_map(|r| r.completed_at()).collect();
-    let completed = done.len() as f64 / invoked as f64;
-    let stalled = (invoked - done.len()) as f64;
-    // The schedule's last heal or recovery; faults that never heal
-    // contribute nothing (their damage shows up in `stalled` instead).
-    let last_heal = schedule
-        .heals()
-        .iter()
-        .map(|&(_, at)| at)
-        .chain(schedule.recovers().iter().map(|&(_, at)| at))
-        .max();
-    let time_to_heal = match last_heal {
-        Some(heal) => done
+        let done: Vec<SimTime> =
+            sim.history().ops().iter().filter_map(|r| r.completed_at()).collect();
+        let completed = done.len() as f64 / invoked as f64;
+        let stalled = (invoked - done.len()) as f64;
+        // The schedule's last heal or recovery; faults that never heal
+        // contribute nothing (their damage shows up in `stalled` instead).
+        let last_heal = schedule
+            .heals()
             .iter()
-            .filter(|&&at| at >= heal)
-            .max()
-            .map(|&at| (at.ticks() - heal.ticks()) as f64)
-            .unwrap_or(0.0),
-        None => 0.0,
-    };
-    let retransmits_per_op = sim.stats().retransmitted as f64 / invoked as f64;
-    vec![completed, stalled, time_to_heal, retransmits_per_op]
-}
-
-// ---------------------------------------------------------------------------
-// Fork-and-branch execution
-
-/// Runs one branched trial generically: `setup` builds the simulation
-/// (advancing the trial RNG by exactly one draw sequence), `measure`
-/// reads a metric row off a finished run.
-///
-/// * [`BranchMode::Fork`] runs the warmup once to `spec.at`, snapshots
-///   it with [`Simulation::checkpoint`], and fans `spec.branches`
-///   reseeded continuations off the same checkpoint — the warmup cost is
-///   paid once.
-/// * [`BranchMode::Straight`] re-runs the identical warmup from scratch
-///   for every branch: the reference execution fork mode must match byte
-///   for byte.
-///
-/// Both modes advance the caller's RNG identically and seed branch `b`
-/// with [`BranchSpec::branch_seed`] (a pure function of the drawn
-/// simulator seed and `b`, never of checkpoint state), so they produce
-/// identical rows *and* leave downstream trials undisturbed — branching
-/// is purely an execution strategy, invisible in the aggregates. Empty
-/// scenario draws yield `spec.branches` all-zero rows so per-cell row
-/// counts agree across modes.
-fn branch_rows<P, X>(
-    spec: &BranchSpec,
-    rng: &mut SplitMix64,
-    n_metrics: usize,
-    setup: impl Fn(&mut SplitMix64) -> Option<(Simulation<P>, X, u64)>,
-    measure: impl Fn(&Simulation<P>, &X) -> Vec<f64>,
-) -> Vec<Vec<f64>>
-where
-    P: Protocol,
-{
-    match spec.mode {
-        BranchMode::Fork => {
-            let Some((mut sim, extra, sim_seed)) = setup(rng) else {
-                return vec![vec![0.0; n_metrics]; spec.branches];
-            };
-            sim.run_until(SimTime(spec.at));
-            let cp = sim.checkpoint();
-            (0..spec.branches)
-                .map(|b| {
-                    sim.restore(&cp);
-                    sim.reseed(BranchSpec::branch_seed(sim_seed, b));
-                    sim.run_until_ops_complete();
-                    measure(&sim, &extra)
-                })
-                .collect()
-        }
-        BranchMode::Straight => {
-            // Branch 0 uses the caller's RNG (advancing it exactly as
-            // fork mode does); later branches replay the same draws from
-            // a pre-setup clone.
-            let pre = rng.clone();
-            let mut rows = Vec::with_capacity(spec.branches);
-            for b in 0..spec.branches {
-                let mut replay = pre.clone();
-                let r = if b == 0 { &mut *rng } else { &mut replay };
-                let Some((mut sim, extra, sim_seed)) = setup(r) else {
-                    return vec![vec![0.0; n_metrics]; spec.branches];
-                };
-                sim.run_until(SimTime(spec.at));
-                sim.reseed(BranchSpec::branch_seed(sim_seed, b));
-                sim.run_until_ops_complete();
-                rows.push(measure(&sim, &extra));
-            }
-            rows
-        }
+            .map(|&(_, at)| at)
+            .chain(schedule.recovers().iter().map(|&(_, at)| at))
+            .max();
+        let time_to_heal = match last_heal {
+            Some(heal) => done
+                .iter()
+                .filter(|&&at| at >= heal)
+                .max()
+                .map(|&at| (at.ticks() - heal.ticks()) as f64)
+                .unwrap_or(0.0),
+            None => 0.0,
+        };
+        let retransmits_per_op = sim.stats().retransmitted as f64 / invoked as f64;
+        vec![completed, stalled, time_to_heal, retransmits_per_op]
     }
-}
-
-/// One branched consensus trial: [`consensus_trial`]'s exact scenario
-/// draw and warmup to `spec.at`, then `spec.branches` reseeded
-/// continuations, each reporting a [`CONSENSUS_METRICS`] row. See
-/// [`BranchSpec`] for the fork/straight contract.
-pub fn consensus_branch_trial(
-    cell: &ScenarioCell,
-    rng: &mut SplitMix64,
-    spec: &BranchSpec,
-) -> Vec<Vec<f64>> {
-    branch_rows(
-        spec,
-        rng,
-        CONSENSUS_METRICS.len(),
-        |r| consensus_setup(cell, r),
-        |sim, invokers| consensus_measure(sim, cell, invokers),
-    )
-}
-
-/// One branched availability trial: the self-healing register stack
-/// warmed to `spec.at`, then `spec.branches` reseeded continuations,
-/// each reporting an [`AVAILABILITY_METRICS`] row. See [`BranchSpec`]
-/// for the fork/straight contract.
-pub fn availability_branch_trial(
-    cell: &ScenarioCell,
-    rng: &mut SplitMix64,
-    spec: &BranchSpec,
-) -> Vec<Vec<f64>> {
-    branch_rows(
-        spec,
-        rng,
-        AVAILABILITY_METRICS.len(),
-        |r| availability_setup(cell, r),
-        availability_measure,
-    )
 }
 
 /// The metrics every scale trial reports, in row order:
@@ -1787,29 +1708,9 @@ fn timeline_metric_names(base: &[&str], buckets: usize) -> Vec<String> {
     names
 }
 
-/// Appends one bucket-major sample row to a base metric row.
-fn extend_with_timeline(mut row: Vec<f64>, samples: &[[f64; 3]]) -> Vec<f64> {
-    for s in samples {
-        row.extend_from_slice(s);
-    }
-    row
-}
-
 // ---------------------------------------------------------------------------
 // Trace replay (serial re-execution of one sweep trial)
 // ---------------------------------------------------------------------------
-
-/// The simulated sweep modes a single trial can be replayed under (the
-/// solvability and scale modes run no traceable protocol stack).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SimMode {
-    /// The flooded ABD register of [`latency_trial`].
-    Latency,
-    /// The Figure 6 consensus stack of [`consensus_trial`].
-    Consensus,
-    /// The self-healing register stack of [`availability_trial`].
-    Availability,
-}
 
 /// Output encodings of [`replay_trial_trace`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -1825,10 +1726,9 @@ pub enum TraceFormat {
 /// The replay draws from [`trial_rng`]`(seed, cell * trials + trial)` —
 /// the exact seeding of the parallel engine — and tracing never perturbs
 /// a run (held by simnet tests), so the replayed execution is the very
-/// execution the sweep aggregated, independent of `GQS_THREADS`.
-fn replay_trial(
+/// execution a plain sweep aggregated, independent of `GQS_THREADS`.
+fn replay_trial<W: Workload>(
     grid: &ScenarioGrid,
-    mode: SimMode,
     cell: usize,
     trial: usize,
     sink: Box<dyn TraceSink>,
@@ -1841,35 +1741,20 @@ fn replay_trial(
         return Err(format!("trial {trial} out of range (grid has {} trials/cell)", grid.trials));
     }
     let mut rng = trial_rng(grid.seed, cell * grid.trials + trial);
-    let empty = || "trial draws an empty scenario (nothing to trace)".to_string();
-    match mode {
-        SimMode::Latency => {
-            let (mut sim, _, _) = latency_setup(c, &mut rng).ok_or_else(empty)?;
-            sim.set_trace(sink);
-            sim.run_until_ops_complete();
-        }
-        SimMode::Consensus => {
-            let (mut sim, _, _) = consensus_setup(c, &mut rng).ok_or_else(empty)?;
-            sim.set_trace(sink);
-            sim.run_until_ops_complete();
-        }
-        SimMode::Availability => {
-            let (mut sim, _, _) = availability_setup(c, &mut rng).ok_or_else(empty)?;
-            sim.set_trace(sink);
-            sim.run_until_ops_complete();
-        }
-    }
+    let (mut sim, _, _) = W::setup(c, &mut rng)
+        .ok_or_else(|| "trial draws an empty scenario (nothing to trace)".to_string())?;
+    sim.set_trace(sink);
+    sim.run_until_ops_complete();
     Ok(())
 }
 
-/// Serially re-executes one sweep trial with an export sink attached and
-/// returns the rendered trace. Deterministic in `(grid, mode, cell,
-/// trial)`: byte-identical for any thread count, because the replay is
-/// single-threaded and seeded exactly like the parallel engine seeds
-/// that trial.
-pub fn replay_trial_trace(
+/// Serially re-executes one sweep trial of workload `W` with an export
+/// sink attached and returns the rendered trace. Deterministic in `(grid,
+/// W, cell, trial)`: byte-identical for any thread count, because the
+/// replay is single-threaded and seeded exactly like the parallel engine
+/// seeds that trial.
+pub fn replay_trial_trace<W: Workload>(
     grid: &ScenarioGrid,
-    mode: SimMode,
     cell: usize,
     trial: usize,
     format: TraceFormat,
@@ -1877,37 +1762,29 @@ pub fn replay_trial_trace(
     match format {
         TraceFormat::Jsonl => {
             let sink = SharedSink::new(JsonlSink::new());
-            replay_trial(grid, mode, cell, trial, Box::new(sink.clone()))?;
+            replay_trial::<W>(grid, cell, trial, Box::new(sink.clone()))?;
             Ok(sink.with(|s| s.as_str().to_string()))
         }
         TraceFormat::Chrome => {
             let sink = SharedSink::new(ChromeSink::new());
-            replay_trial(grid, mode, cell, trial, Box::new(sink.clone()))?;
+            replay_trial::<W>(grid, cell, trial, Box::new(sink.clone()))?;
             Ok(sink.with(std::mem::take).into_string())
         }
     }
 }
 
-/// Serially re-executes one sweep trial with a [`FlightRecorder`]
-/// attached and returns its dump — `Some` exactly when the trial hits
-/// its event cap (tune with `GQS_MAX_EVENTS`), naming the stalled ops,
-/// armed timers and last events of the stuck run.
-pub fn replay_trial_flight(
+/// Serially re-executes one sweep trial of workload `W` with a
+/// [`FlightRecorder`] attached and returns its dump — `Some` exactly when
+/// the trial hits its event cap (tune with `GQS_MAX_EVENTS`), naming the
+/// stalled ops, armed timers and last events of the stuck run.
+pub fn replay_trial_flight<W: Workload>(
     grid: &ScenarioGrid,
-    mode: SimMode,
     cell: usize,
     trial: usize,
 ) -> Result<Option<String>, String> {
     let sink = SharedSink::new(FlightRecorder::new());
-    replay_trial(grid, mode, cell, trial, Box::new(sink.clone()))?;
+    replay_trial::<W>(grid, cell, trial, Box::new(sink.clone()))?;
     Ok(sink.with(|fr| fr.report().map(|r| r.to_string())))
-}
-
-/// Pairs every cell with its grid index so trial closures can address
-/// stall records (the engine's closure signature only carries the trial
-/// index).
-fn index_cells(cells: &[ScenarioCell]) -> Vec<(usize, ScenarioCell)> {
-    cells.iter().cloned().enumerate().collect()
 }
 
 impl ScenarioGrid {
@@ -1922,173 +1799,72 @@ impl ScenarioGrid {
         run(&spec, opts, |cell, _t, rng| scenario_trial(cell, rng))
     }
 
-    /// Streams the grid through the engine in protocol-latency mode
-    /// ([`latency_trial`] per trial, [`LATENCY_METRICS`] per cell). The
-    /// determinism contract is identical: aggregates are bit-identical
-    /// for any thread count.
-    pub fn run_latency(&self, opts: &SweepOptions) -> SweepReport {
-        let cells = index_cells(&self.cells);
-        let spec = SweepSpec {
-            cells: &cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: LATENCY_METRICS,
-        };
-        let log = opts.stall_log.clone();
-        run(&spec, opts, move |(c, cell), t, rng| match latency_setup(cell, rng) {
-            Some((mut sim, (), _)) => {
-                note_stall(&log, *c, t, sim.run_until_ops_complete());
-                latency_measure(&sim)
+    /// Streams the grid through the engine as simulated workload `W`,
+    /// executing every trial as `exec` says: [`Workload::METRICS`] per
+    /// row, widened by the per-window columns of a timeline, one row per
+    /// continuation of a branched trial (so a cell aggregates `trials ×
+    /// branches` rows). Empty scenario draws report zero rows of the
+    /// same shape. Every run that hits its event cap is logged to
+    /// [`SweepOptions::stall_log`], branches included.
+    ///
+    /// The determinism contract is the engine's: aggregates are
+    /// bit-identical for any thread count, and for either
+    /// [`BranchMode`].
+    pub fn run_sim<W: Workload>(&self, opts: &SweepOptions, exec: Exec) -> SweepReport {
+        let names: Vec<String> = match exec {
+            Exec::Timeline(bucket) => {
+                timeline_metric_names(W::METRICS, timeline_buckets(bucket, W::HORIZON))
             }
-            None => vec![0.0; LATENCY_METRICS.len()],
-        })
-    }
-
-    /// Protocol-latency mode with windowed metrics: every trial runs in
-    /// `bucket`-tick windows and appends [`TIMELINE_SERIES`] samples per
-    /// window to its [`LATENCY_METRICS`] row. Render with
-    /// [`report_json_timeline`]. Same determinism contract as
-    /// [`ScenarioGrid::run_latency`] — windowing is pure observation.
-    pub fn run_latency_timeline(&self, opts: &SweepOptions, bucket: u64) -> SweepReport {
-        self.run_timeline(opts, bucket, LATENCY_METRICS, LATENCY_HORIZON, |cell, rng, b| {
-            latency_setup(cell, rng).map(|(mut sim, (), _)| {
-                let (samples, reason) = run_bucketed(&mut sim, b, LATENCY_HORIZON);
-                (extend_with_timeline(latency_measure(&sim), &samples), reason)
-            })
-        })
-    }
-
-    /// Streams the grid through the engine in consensus mode
-    /// ([`consensus_trial`] per trial, [`CONSENSUS_METRICS`] per cell),
-    /// under the same determinism contract.
-    pub fn run_consensus(&self, opts: &SweepOptions) -> SweepReport {
-        let cells = index_cells(&self.cells);
-        let spec = SweepSpec {
-            cells: &cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: CONSENSUS_METRICS,
+            _ => W::METRICS.iter().map(|m| m.to_string()).collect(),
         };
-        let log = opts.stall_log.clone();
-        run(&spec, opts, move |(c, cell), t, rng| match consensus_setup(cell, rng) {
-            Some((mut sim, invokers, _)) => {
-                note_stall(&log, *c, t, sim.run_until_ops_complete());
-                consensus_measure(&sim, cell, &invokers)
-            }
-            None => vec![0.0; CONSENSUS_METRICS.len()],
-        })
-    }
-
-    /// Consensus mode with windowed metrics; the timeline counterpart of
-    /// [`ScenarioGrid::run_consensus`] (see
-    /// [`ScenarioGrid::run_latency_timeline`]).
-    pub fn run_consensus_timeline(&self, opts: &SweepOptions, bucket: u64) -> SweepReport {
-        self.run_timeline(opts, bucket, CONSENSUS_METRICS, CONSENSUS_HORIZON, |cell, rng, b| {
-            consensus_setup(cell, rng).map(|(mut sim, invokers, _)| {
-                let (samples, reason) = run_bucketed(&mut sim, b, CONSENSUS_HORIZON);
-                (extend_with_timeline(consensus_measure(&sim, cell, &invokers), &samples), reason)
-            })
-        })
-    }
-
-    /// Streams the grid through the engine in availability mode
-    /// ([`availability_trial`] per trial, [`AVAILABILITY_METRICS`] per
-    /// cell), under the same determinism contract: aggregates are
-    /// bit-identical for any thread count.
-    pub fn run_availability(&self, opts: &SweepOptions) -> SweepReport {
-        let cells = index_cells(&self.cells);
-        let spec = SweepSpec {
-            cells: &cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: AVAILABILITY_METRICS,
-        };
-        let log = opts.stall_log.clone();
-        run(&spec, opts, move |(c, cell), t, rng| match availability_setup(cell, rng) {
-            Some((mut sim, schedule, _)) => {
-                note_stall(&log, *c, t, sim.run_until_ops_complete());
-                availability_measure(&sim, &schedule)
-            }
-            None => vec![0.0; AVAILABILITY_METRICS.len()],
-        })
-    }
-
-    /// Availability mode with windowed metrics; the timeline counterpart
-    /// of [`ScenarioGrid::run_availability`] (see
-    /// [`ScenarioGrid::run_latency_timeline`]). On an outage grid the
-    /// `tl_ops` series shows the parked backlog draining in a burst right
-    /// after the heal.
-    pub fn run_availability_timeline(&self, opts: &SweepOptions, bucket: u64) -> SweepReport {
-        self.run_timeline(opts, bucket, AVAILABILITY_METRICS, LATENCY_HORIZON, |cell, rng, b| {
-            availability_setup(cell, rng).map(|(mut sim, schedule, _)| {
-                let (samples, reason) = run_bucketed(&mut sim, b, LATENCY_HORIZON);
-                (extend_with_timeline(availability_measure(&sim, &schedule), &samples), reason)
-            })
-        })
-    }
-
-    /// The shared engine behind the `run_*_timeline` modes: widens the
-    /// metric row with per-bucket columns, observes stalls, and zero-fills
-    /// empty scenario draws.
-    fn run_timeline<F>(
-        &self,
-        opts: &SweepOptions,
-        bucket: u64,
-        base: &[&str],
-        horizon: u64,
-        trial: F,
-    ) -> SweepReport
-    where
-        F: Fn(&ScenarioCell, &mut SplitMix64, u64) -> Option<(Vec<f64>, StopReason)> + Sync,
-    {
-        let nb = timeline_buckets(bucket, horizon);
-        let names = timeline_metric_names(base, nb);
-        let metrics: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let cells = index_cells(&self.cells);
+        let metrics: Vec<&str> = names.iter().map(String::as_str).collect();
+        let width = metrics.len();
+        let cells: Vec<(usize, ScenarioCell)> = self.cells.iter().copied().enumerate().collect();
         let spec =
             SweepSpec { cells: &cells, trials: self.trials, seed: self.seed, metrics: &metrics };
-        let log = opts.stall_log.clone();
-        run(&spec, opts, move |(c, cell), t, rng| match trial(cell, rng, bucket) {
-            Some((row, reason)) => {
-                note_stall(&log, *c, t, reason);
-                row
-            }
-            None => vec![0.0; base.len() + TIMELINE_SERIES.len() * nb],
+        let log = &opts.stall_log;
+        run_rows(&spec, opts, |&(c, ref cell), t, rng| {
+            let Exec::Branch(branch) = exec else {
+                let Some((mut sim, ctx, _)) = W::setup(cell, rng) else {
+                    return vec![vec![0.0; width]];
+                };
+                let (samples, reason) = match exec {
+                    Exec::Timeline(bucket) => run_bucketed(&mut sim, bucket, W::HORIZON),
+                    _ => (Vec::new(), sim.run_until_ops_complete()),
+                };
+                note_stall(log, c, t, None, reason);
+                let mut row = W::measure(&sim, cell, &ctx);
+                row.extend(samples.iter().flatten());
+                return vec![row];
+            };
+            // Both branch modes advance the trial RNG identically and seed
+            // branch `b` with `BranchSpec::branch_seed`, so they produce
+            // identical rows and leave later trials undisturbed.
+            let pre = rng.clone();
+            let Some((mut sim, ctx, sim_seed)) = W::setup(cell, rng) else {
+                return vec![vec![0.0; width]; branch.branches];
+            };
+            sim.run_until(SimTime(branch.at));
+            let cp = (branch.mode == BranchMode::Fork).then(|| sim.checkpoint());
+            (0..branch.branches)
+                .map(|b| {
+                    if b > 0 {
+                        match &cp {
+                            Some(cp) => sim.restore(cp),
+                            None => {
+                                // The straight-line reference: redraw the
+                                // same scenario and re-run its warmup.
+                                sim = W::setup(cell, &mut pre.clone()).expect("same draw").0;
+                                sim.run_until(SimTime(branch.at));
+                            }
+                        }
+                    }
+                    sim.reseed(BranchSpec::branch_seed(sim_seed, b));
+                    note_stall(log, c, t, Some(b), sim.run_until_ops_complete());
+                    W::measure(&sim, cell, &ctx)
+                })
+                .collect()
         })
-    }
-
-    /// Consensus mode with fork-and-branch execution: every trial warms
-    /// one simulation to `branch.at`, then fans `branch.branches`
-    /// reseeded continuations off the checkpoint (or replays the warmup
-    /// per branch in [`BranchMode::Straight`]). Each continuation
-    /// contributes one [`CONSENSUS_METRICS`] row, so a cell aggregates
-    /// `trials × branches` rows; aggregation stays bit-identical for any
-    /// `GQS_THREADS` and for either branch mode.
-    pub fn run_consensus_branched(&self, opts: &SweepOptions, branch: &BranchSpec) -> SweepReport {
-        let spec = SweepSpec {
-            cells: &self.cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: CONSENSUS_METRICS,
-        };
-        run_rows(&spec, opts, |cell, _t, rng| consensus_branch_trial(cell, rng, branch))
-    }
-
-    /// Availability mode with fork-and-branch execution; the branched
-    /// counterpart of [`ScenarioGrid::run_availability`], with the same
-    /// row accounting as [`ScenarioGrid::run_consensus_branched`].
-    pub fn run_availability_branched(
-        &self,
-        opts: &SweepOptions,
-        branch: &BranchSpec,
-    ) -> SweepReport {
-        let spec = SweepSpec {
-            cells: &self.cells,
-            trials: self.trials,
-            seed: self.seed,
-            metrics: AVAILABILITY_METRICS,
-        };
-        run_rows(&spec, opts, |cell, _t, rng| availability_branch_trial(cell, rng, branch))
     }
 
     /// Streams the grid through the engine in scale mode ([`scale_trial`]
@@ -2207,30 +1983,49 @@ fn push_agg_json(out: &mut String, agg: &MetricAgg) {
 /// Renders a scenario-grid report as deterministic JSON (no timing, no
 /// environment — byte-identical across runs and thread counts).
 pub fn report_json(grid: &ScenarioGrid, report: &SweepReport) -> String {
-    report_json_branched(grid, report, None)
+    report_json_exec(grid, report, Exec::Plain)
 }
 
-/// [`report_json`] for branched runs: when `branch` is set, the header
-/// gains `branch_at`/`branches` lines. The branch *mode* is deliberately
-/// never emitted — fork and straight-line execution compute the same
-/// report, so their JSON must be byte-identical (`cmp`-able in CI).
-/// Unbranched output is byte-identical to pre-branching reports.
-pub fn report_json_branched(
-    grid: &ScenarioGrid,
-    report: &SweepReport,
-    branch: Option<&BranchSpec>,
-) -> String {
+/// [`report_json`] for a [`ScenarioGrid::run_sim`] report executed as
+/// `exec`:
+///
+/// * [`Exec::Branch`] adds `branch_at`/`branches` header lines. The
+///   branch *mode* is deliberately never emitted — fork and straight-line
+///   execution compute the same report, so their JSON must be
+///   byte-identical (`cmp`-able in CI).
+/// * [`Exec::Timeline`] adds a `timeline_bucket` header line and, per
+///   cell, a `"timeline"` object holding the across-trials mean of every
+///   [`TIMELINE_SERIES`] window column (window-index order). The window
+///   columns (the trailing `tl_*` metrics) stay out of the metric list
+///   and the aggregates.
+///
+/// # Panics
+///
+/// Panics unless the report has `tl_*` columns exactly when `exec` is a
+/// timeline, in whole [`TIMELINE_SERIES`] groups.
+pub fn report_json_exec(grid: &ScenarioGrid, report: &SweepReport, exec: Exec) -> String {
+    let width = TIMELINE_SERIES.len();
+    let n_base = report.metrics.iter().take_while(|m| !m.starts_with("tl_")).count();
+    let windows = report.metrics.len() - n_base;
+    assert!(
+        windows.is_multiple_of(width) && (windows > 0) == matches!(exec, Exec::Timeline(_)),
+        "report columns do not fit {exec:?}"
+    );
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"gqs_sweep/v1\",\n");
     out.push_str(&format!("  \"trials_per_cell\": {},\n", grid.trials));
     out.push_str(&format!("  \"seed\": {},\n", grid.seed));
-    if let Some(b) = branch {
-        out.push_str(&format!("  \"branch_at\": {},\n", b.at));
-        out.push_str(&format!("  \"branches\": {},\n", b.branches));
+    match exec {
+        Exec::Plain => {}
+        Exec::Timeline(bucket) => out.push_str(&format!("  \"timeline_bucket\": {bucket},\n")),
+        Exec::Branch(b) => {
+            out.push_str(&format!("  \"branch_at\": {},\n", b.at));
+            out.push_str(&format!("  \"branches\": {},\n", b.branches));
+        }
     }
     out.push_str(&format!("  \"complete\": {},\n", report.complete));
     out.push_str("  \"metrics\": [");
-    for (i, m) in report.metrics.iter().enumerate() {
+    for (i, m) in report.metrics.iter().take(n_base).enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -2258,76 +2053,6 @@ pub fn report_json_branched(
             out.push_str(&format!(", \"net\": \"{}\"", cell.net.name()));
         }
         out.push_str(&format!(", \"trials\": {},\n     \"aggregates\": {{", aggs.trials));
-        for (m, (name, agg)) in report.metrics.iter().zip(&aggs.aggs).enumerate() {
-            if m > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": "));
-            push_agg_json(&mut out, agg);
-        }
-        out.push_str("}}");
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
-/// Renders a timeline sweep (`run_*_timeline`) as deterministic JSON:
-/// the ordinary report for the first `n_base` metrics, plus a
-/// `timeline_bucket` header line and, per cell, a `"timeline"` object
-/// holding the across-trials mean of every [`TIMELINE_SERIES`] bucket
-/// column (bucket-index order). Like [`report_json`], the output embeds
-/// no timing or environment, so it diffs byte for byte across runs and
-/// thread counts.
-///
-/// # Panics
-///
-/// Panics if the report's metric count is not `n_base` plus a whole
-/// number of [`TIMELINE_SERIES`] groups.
-pub fn report_json_timeline(
-    grid: &ScenarioGrid,
-    report: &SweepReport,
-    n_base: usize,
-    bucket: u64,
-) -> String {
-    let width = TIMELINE_SERIES.len();
-    assert!(
-        report.metrics.len() >= n_base && (report.metrics.len() - n_base).is_multiple_of(width),
-        "report is not a timeline over {n_base} base metrics"
-    );
-    let nb = (report.metrics.len() - n_base) / width;
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"gqs_sweep/v1\",\n");
-    out.push_str(&format!("  \"trials_per_cell\": {},\n", grid.trials));
-    out.push_str(&format!("  \"seed\": {},\n", grid.seed));
-    out.push_str(&format!("  \"timeline_bucket\": {bucket},\n"));
-    out.push_str(&format!("  \"complete\": {},\n", report.complete));
-    out.push_str("  \"metrics\": [");
-    for (i, m) in report.metrics.iter().take(n_base).enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{m}\""));
-    }
-    out.push_str("],\n  \"cells\": [\n");
-    for (c, (cell, aggs)) in grid.cells.iter().zip(&report.cells).enumerate() {
-        if c > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"n\": {}, \"density\": ",
-            cell.family.name(),
-            cell.n
-        ));
-        push_json_f64(&mut out, cell.density);
-        out.push_str(&format!(", \"patterns\": \"{}\", \"p_chan\": ", cell.patterns.name()));
-        push_json_f64(&mut out, cell.p_chan);
-        out.push_str(", \"loss\": ");
-        push_json_f64(&mut out, cell.loss);
-        out.push_str(&format!(", \"schedule\": \"{}\"", cell.schedule.name()));
-        if cell.net != NetworkFamily::Uniform {
-            out.push_str(&format!(", \"net\": \"{}\"", cell.net.name()));
-        }
-        out.push_str(&format!(", \"trials\": {},\n     \"aggregates\": {{", aggs.trials));
         for (m, (name, agg)) in report.metrics.iter().zip(&aggs.aggs).take(n_base).enumerate() {
             if m > 0 {
                 out.push_str(", ");
@@ -2335,18 +2060,22 @@ pub fn report_json_timeline(
             out.push_str(&format!("\"{name}\": "));
             push_agg_json(&mut out, agg);
         }
-        out.push_str(&format!("}},\n     \"timeline\": {{\"bucket\": {bucket}"));
-        for (s, series) in TIMELINE_SERIES.iter().enumerate() {
-            out.push_str(&format!(", \"{series}\": ["));
-            for k in 0..nb {
-                if k > 0 {
-                    out.push_str(", ");
+        out.push('}');
+        if let Exec::Timeline(bucket) = exec {
+            out.push_str(&format!(",\n     \"timeline\": {{\"bucket\": {bucket}"));
+            for (s, series) in TIMELINE_SERIES.iter().enumerate() {
+                out.push_str(&format!(", \"{series}\": ["));
+                for k in 0..windows / width {
+                    if k > 0 {
+                        out.push_str(", ");
+                    }
+                    push_json_f64(&mut out, aggs.aggs[n_base + k * width + s].mean());
                 }
-                push_json_f64(&mut out, aggs.aggs[n_base + k * width + s].mean());
+                out.push(']');
             }
-            out.push(']');
+            out.push('}');
         }
-        out.push_str("}}");
+        out.push('}');
     }
     out.push_str("\n  ]\n}\n");
     out
@@ -2571,7 +2300,7 @@ mod tests {
         };
         let run = |net| {
             ScenarioGrid { cells: vec![cell(net)], trials: 6, seed: 40 }
-                .run_latency(&SweepOptions::default())
+                .run_sim::<Latency>(&SweepOptions::default(), Exec::Plain)
         };
         let uniform = run(NetworkFamily::Uniform);
         let constant = run(NetworkFamily::Constant);
@@ -2606,19 +2335,21 @@ mod tests {
             trials: 6,
             seed: 11,
         };
-        let report = grid.run_latency(&SweepOptions::default());
+        let report = grid.run_sim::<Latency>(&SweepOptions::default(), Exec::Plain);
         assert!(report.complete);
         assert_eq!(report.metrics, LATENCY_METRICS);
         assert_eq!(report.agg(0, "completed").mean(), 1.0, "all ops must complete");
         assert!(report.agg(0, "lat_mean").mean() > 0.0);
         assert!(report.agg(0, "msgs_per_op").mean() > 0.0);
         // The determinism contract holds in latency mode too.
-        let single = grid.run_latency(&SweepOptions { threads: Some(1), ..Default::default() });
-        let many = grid.run_latency(&SweepOptions {
-            threads: Some(3),
-            shard: Some(2),
-            ..Default::default()
-        });
+        let single = grid.run_sim::<Latency>(
+            &SweepOptions { threads: Some(1), ..Default::default() },
+            Exec::Plain,
+        );
+        let many = grid.run_sim::<Latency>(
+            &SweepOptions { threads: Some(3), shard: Some(2), ..Default::default() },
+            Exec::Plain,
+        );
         assert_eq!(single, many);
         assert_eq!(single, report);
     }
@@ -2647,14 +2378,14 @@ mod tests {
     fn timeline_windows_sum_to_the_straight_run() {
         let grid = tame_latency_grid(4, 11);
         let bucket = LATENCY_HORIZON / 8;
-        let report = grid.run_latency_timeline(&SweepOptions::default(), bucket);
+        let report = grid.run_sim::<Latency>(&SweepOptions::default(), Exec::Timeline(bucket));
         assert!(report.complete);
         let nb = timeline_buckets(bucket, LATENCY_HORIZON);
         assert_eq!(report.metrics.len(), LATENCY_METRICS.len() + TIMELINE_SERIES.len() * nb);
         // The windowed completions add up to the straight run's
         // completion count, and the base metrics are untouched by the
         // windowing: bucketing is pure observation.
-        let straight = grid.run_latency(&SweepOptions::default());
+        let straight = grid.run_sim::<Latency>(&SweepOptions::default(), Exec::Plain);
         let ops_per_trial: f64 = (0..nb).map(|k| report.agg(0, &format!("tl_ops{k}")).mean()).sum();
         let expect = straight.agg(0, "completed").mean() * LATENCY_OPS as f64;
         assert!((ops_per_trial - expect).abs() < 1e-9, "{ops_per_trial} vs {expect}");
@@ -2665,11 +2396,13 @@ mod tests {
         let last_avail = report.agg(0, &format!("tl_avail{}", nb - 1)).mean();
         assert_eq!(last_avail, 1.0);
         // Thread-invariance carries over to timeline rows.
-        let single = grid
-            .run_latency_timeline(&SweepOptions { threads: Some(1), ..Default::default() }, bucket);
-        let many = grid.run_latency_timeline(
+        let single = grid.run_sim::<Latency>(
+            &SweepOptions { threads: Some(1), ..Default::default() },
+            Exec::Timeline(bucket),
+        );
+        let many = grid.run_sim::<Latency>(
             &SweepOptions { threads: Some(3), shard: Some(1), ..Default::default() },
-            bucket,
+            Exec::Timeline(bucket),
         );
         assert_eq!(single, many);
         assert_eq!(single, report);
@@ -2679,8 +2412,8 @@ mod tests {
     fn timeline_report_renders_base_metrics_plus_series() {
         let grid = tame_latency_grid(2, 3);
         let bucket = LATENCY_HORIZON / 4;
-        let report = grid.run_latency_timeline(&SweepOptions::default(), bucket);
-        let json = report_json_timeline(&grid, &report, LATENCY_METRICS.len(), bucket);
+        let report = grid.run_sim::<Latency>(&SweepOptions::default(), Exec::Timeline(bucket));
+        let json = report_json_exec(&grid, &report, Exec::Timeline(bucket));
         assert!(json.contains("\"timeline_bucket\": 25000"));
         assert!(json.contains("\"timeline\": {\"bucket\": 25000, \"events\": ["));
         assert!(json.contains("\"ops\": ["));
@@ -2695,8 +2428,8 @@ mod tests {
     #[test]
     fn replayed_traces_are_deterministic_and_cover_protocol_spans() {
         let grid = tame_latency_grid(3, 11);
-        let a = replay_trial_trace(&grid, SimMode::Latency, 0, 1, TraceFormat::Jsonl).unwrap();
-        let b = replay_trial_trace(&grid, SimMode::Latency, 0, 1, TraceFormat::Jsonl).unwrap();
+        let a = replay_trial_trace::<Latency>(&grid, 0, 1, TraceFormat::Jsonl).unwrap();
+        let b = replay_trial_trace::<Latency>(&grid, 0, 1, TraceFormat::Jsonl).unwrap();
         assert_eq!(a, b, "replay must be deterministic");
         for needle in
             ["\"ev\":\"op_start\"", "\"ev\":\"op_end\"", "qaf_get", "qaf_set", "\"ev\":\"deliver\""]
@@ -2704,18 +2437,17 @@ mod tests {
             assert!(a.contains(needle), "trace lacks {needle}");
         }
         // Distinct trials replay distinct executions.
-        let other = replay_trial_trace(&grid, SimMode::Latency, 0, 2, TraceFormat::Jsonl).unwrap();
+        let other = replay_trial_trace::<Latency>(&grid, 0, 2, TraceFormat::Jsonl).unwrap();
         assert_ne!(a, other);
         // The Chrome export is one JSON array of the same run.
-        let chrome =
-            replay_trial_trace(&grid, SimMode::Latency, 0, 1, TraceFormat::Chrome).unwrap();
+        let chrome = replay_trial_trace::<Latency>(&grid, 0, 1, TraceFormat::Chrome).unwrap();
         assert!(chrome.starts_with('[') && chrome.ends_with("]\n"));
         assert!(chrome.contains("qaf_get"));
         // Out-of-range coordinates are errors, not panics.
-        assert!(replay_trial_trace(&grid, SimMode::Latency, 1, 0, TraceFormat::Jsonl).is_err());
-        assert!(replay_trial_trace(&grid, SimMode::Latency, 0, 3, TraceFormat::Jsonl).is_err());
+        assert!(replay_trial_trace::<Latency>(&grid, 1, 0, TraceFormat::Jsonl).is_err());
+        assert!(replay_trial_trace::<Latency>(&grid, 0, 3, TraceFormat::Jsonl).is_err());
         // A healthy trial leaves no flight-recorder dump.
-        assert_eq!(replay_trial_flight(&grid, SimMode::Latency, 0, 1).unwrap(), None);
+        assert_eq!(replay_trial_flight::<Latency>(&grid, 0, 1).unwrap(), None);
     }
 
     #[test]
@@ -2734,8 +2466,7 @@ mod tests {
             trials: 2,
             seed: 7,
         };
-        let trace =
-            replay_trial_trace(&grid, SimMode::Consensus, 0, 0, TraceFormat::Jsonl).unwrap();
+        let trace = replay_trial_trace::<Consensus>(&grid, 0, 0, TraceFormat::Jsonl).unwrap();
         assert!(trace.contains("view_enter"), "consensus trace lacks view_enter markers");
         assert!(trace.contains("\"label\":\"decide\""), "consensus trace lacks decide markers");
     }
@@ -2743,11 +2474,11 @@ mod tests {
     #[test]
     fn stall_notes_record_event_caps_only() {
         let log: StallLog = Default::default();
-        note_stall(&Some(log.clone()), 3, 1, StopReason::OpsComplete);
-        note_stall(&Some(log.clone()), 2, 5, StopReason::EventCap { stalled_ops: 4 });
-        note_stall(&None, 0, 0, StopReason::EventCap { stalled_ops: 9 });
+        note_stall(&Some(log.clone()), 3, 1, None, StopReason::OpsComplete);
+        note_stall(&Some(log.clone()), 2, 5, Some(1), StopReason::EventCap { stalled_ops: 4 });
+        note_stall(&None, 0, 0, None, StopReason::EventCap { stalled_ops: 9 });
         let stalls = log.lock().unwrap();
-        assert_eq!(*stalls, vec![Stall { cell: 2, trial: 5, stalled_ops: 4 }]);
+        assert_eq!(*stalls, vec![Stall { cell: 2, trial: 5, branch: Some(1), stalled_ops: 4 }]);
     }
 
     #[test]
@@ -2843,9 +2574,12 @@ mod tests {
             net: NetworkFamily::Uniform,
         };
         let grid = |family| ScenarioGrid { cells: vec![cell(family)], trials: 8, seed: 5 };
-        let complete = grid(TopologyFamily::Complete).run_latency(&SweepOptions::default());
-        let ring = grid(TopologyFamily::Ring).run_latency(&SweepOptions::default());
-        let star = grid(TopologyFamily::Star).run_latency(&SweepOptions::default());
+        let complete = grid(TopologyFamily::Complete)
+            .run_sim::<Latency>(&SweepOptions::default(), Exec::Plain);
+        let ring =
+            grid(TopologyFamily::Ring).run_sim::<Latency>(&SweepOptions::default(), Exec::Plain);
+        let star =
+            grid(TopologyFamily::Star).run_sim::<Latency>(&SweepOptions::default(), Exec::Plain);
         assert_eq!(complete.agg(0, "completed").mean(), 1.0);
         assert_eq!(ring.agg(0, "completed").mean(), 1.0, "ring minus one process stays connected");
         assert!(
@@ -2938,7 +2672,7 @@ mod tests {
         };
         let run = |schedule| {
             ScenarioGrid { cells: vec![cell(schedule)], trials: 8, seed: 21 }
-                .run_latency(&SweepOptions::default())
+                .run_sim::<Latency>(&SweepOptions::default(), Exec::Plain)
         };
         let stat = run(ScheduleFamily::Static);
         let outage = run(ScheduleFamily::RegionOutage);
@@ -2964,7 +2698,7 @@ mod tests {
             trials: 6,
             seed: 19,
         };
-        let report = grid.run_consensus(&SweepOptions::default());
+        let report = grid.run_sim::<Consensus>(&SweepOptions::default(), Exec::Plain);
         assert!(report.complete);
         assert_eq!(report.metrics, CONSENSUS_METRICS);
         // Rotating f0 crashes one of four processes; the other three
@@ -2977,16 +2711,14 @@ mod tests {
         // Thread-invariance at fixed sharding (the engine contract; the
         // f64 sums of real-valued metrics only reassociate identically
         // when the shard boundaries are the same).
-        let single = grid.run_consensus(&SweepOptions {
-            threads: Some(1),
-            shard: Some(2),
-            ..Default::default()
-        });
-        let many = grid.run_consensus(&SweepOptions {
-            threads: Some(3),
-            shard: Some(2),
-            ..Default::default()
-        });
+        let single = grid.run_sim::<Consensus>(
+            &SweepOptions { threads: Some(1), shard: Some(2), ..Default::default() },
+            Exec::Plain,
+        );
+        let many = grid.run_sim::<Consensus>(
+            &SweepOptions { threads: Some(3), shard: Some(2), ..Default::default() },
+            Exec::Plain,
+        );
         assert_eq!(single, many);
     }
 
@@ -3009,7 +2741,7 @@ mod tests {
             trials: 6,
             seed: 19,
         };
-        let report = grid.run_consensus(&SweepOptions::default());
+        let report = grid.run_sim::<Consensus>(&SweepOptions::default(), Exec::Plain);
         assert_eq!(report.agg(0, "decided").mean(), 1.0, "restarts heal: everyone decides");
     }
 
@@ -3031,7 +2763,7 @@ mod tests {
             net: NetworkFamily::Uniform,
         };
         let grid = ScenarioGrid { cells: vec![cell], trials: 8, seed: 21 };
-        let report = grid.run_availability(&SweepOptions::default());
+        let report = grid.run_sim::<Availability>(&SweepOptions::default(), Exec::Plain);
         assert!(report.complete);
         assert_eq!(report.metrics, AVAILABILITY_METRICS);
         assert_eq!(report.agg(0, "completed").mean(), 1.0, "retries heal the outage");
@@ -3045,16 +2777,14 @@ mod tests {
             "healing through an outage costs retransmissions"
         );
         // Determinism contract: bit-identical for any thread count.
-        let single = grid.run_availability(&SweepOptions {
-            threads: Some(1),
-            shard: Some(2),
-            ..Default::default()
-        });
-        let many = grid.run_availability(&SweepOptions {
-            threads: Some(3),
-            shard: Some(2),
-            ..Default::default()
-        });
+        let single = grid.run_sim::<Availability>(
+            &SweepOptions { threads: Some(1), shard: Some(2), ..Default::default() },
+            Exec::Plain,
+        );
+        let many = grid.run_sim::<Availability>(
+            &SweepOptions { threads: Some(3), shard: Some(2), ..Default::default() },
+            Exec::Plain,
+        );
         assert_eq!(single, many);
     }
 
@@ -3079,8 +2809,8 @@ mod tests {
         let fork = BranchSpec { at: 600, branches: 3, mode: BranchMode::Fork };
         let straight = BranchSpec { mode: BranchMode::Straight, ..fork };
 
-        let f = grid.run_consensus_branched(&SweepOptions::default(), &fork);
-        let s = grid.run_consensus_branched(&SweepOptions::default(), &straight);
+        let f = grid.run_sim::<Consensus>(&SweepOptions::default(), Exec::Branch(fork));
+        let s = grid.run_sim::<Consensus>(&SweepOptions::default(), Exec::Branch(straight));
         assert_eq!(f, s, "consensus: fork must equal the straight-line reference");
         // Row accounting: `trials` still counts trials; every branch
         // contributes one observation per metric.
@@ -3088,20 +2818,25 @@ mod tests {
         assert_eq!(f.agg(0, "decided").count(), 4 * 3);
         assert!(f.agg(0, "decided").mean() > 0.0, "branched trials must still decide");
 
-        let fa = grid.run_availability_branched(&SweepOptions::default(), &fork);
-        let sa = grid.run_availability_branched(&SweepOptions::default(), &straight);
+        let fa = grid.run_sim::<Availability>(&SweepOptions::default(), Exec::Branch(fork));
+        let sa = grid.run_sim::<Availability>(&SweepOptions::default(), Exec::Branch(straight));
         assert_eq!(fa, sa, "availability: fork must equal the straight-line reference");
         assert_eq!(fa.agg(0, "completed").count(), 4 * 3);
 
+        let fl = grid.run_sim::<Latency>(&SweepOptions::default(), Exec::Branch(fork));
+        let sl = grid.run_sim::<Latency>(&SweepOptions::default(), Exec::Branch(straight));
+        assert_eq!(fl, sl, "latency: fork must equal the straight-line reference");
+        assert_eq!(fl.agg(0, "completed").count(), 4 * 3);
+
         // Thread-invariance survives branching (rows fold in (trial, row)
         // order inside fixed shards).
-        let single = grid.run_consensus_branched(
+        let single = grid.run_sim::<Consensus>(
             &SweepOptions { threads: Some(1), shard: Some(2), ..Default::default() },
-            &fork,
+            Exec::Branch(fork),
         );
-        let many = grid.run_consensus_branched(
+        let many = grid.run_sim::<Consensus>(
             &SweepOptions { threads: Some(3), shard: Some(2), ..Default::default() },
-            &fork,
+            Exec::Branch(fork),
         );
         assert_eq!(single, many);
     }
@@ -3126,13 +2861,13 @@ mod tests {
             seed: 3,
         };
         let spec = BranchSpec { at: 500, branches: 2, mode: BranchMode::Fork };
-        let report = grid.run_consensus_branched(&SweepOptions::default(), &spec);
+        let report = grid.run_sim::<Consensus>(&SweepOptions::default(), Exec::Branch(spec));
         assert_eq!(
             report_json(&grid, &report),
-            report_json_branched(&grid, &report, None),
+            report_json_exec(&grid, &report, Exec::Plain),
             "report_json is the unbranched special case"
         );
-        let json = report_json_branched(&grid, &report, Some(&spec));
+        let json = report_json_exec(&grid, &report, Exec::Branch(spec));
         assert!(json.contains("\"branch_at\": 500,\n"));
         assert!(json.contains("\"branches\": 2,\n"));
         assert!(!json.to_lowercase().contains("mode"), "branch mode must not leak into JSON");
@@ -3154,12 +2889,12 @@ mod tests {
             net: NetworkFamily::Uniform,
         };
         let grid = |loss| ScenarioGrid { cells: vec![cell(loss)], trials: 8, seed: 33 };
-        let lossy = grid(0.3).run_availability(&SweepOptions::default());
+        let lossy = grid(0.3).run_sim::<Availability>(&SweepOptions::default(), Exec::Plain);
         assert_eq!(lossy.agg(0, "completed").mean(), 1.0, "retries absorb 30% loss");
         assert!(lossy.agg(0, "retransmits_per_op").mean() > 0.0);
         // At loss = 0 the reliability layer is pure overhead-free
         // insurance: nothing is ever retransmitted.
-        let clean = grid(0.0).run_availability(&SweepOptions::default());
+        let clean = grid(0.0).run_sim::<Availability>(&SweepOptions::default(), Exec::Plain);
         assert_eq!(clean.agg(0, "completed").mean(), 1.0);
         assert_eq!(
             clean.agg(0, "retransmits_per_op").mean(),
@@ -3167,7 +2902,7 @@ mod tests {
             "no loss, no outage => no retransmissions"
         );
         // And the plain stack genuinely suffers on the same lossy cells.
-        let plain = grid(0.3).run_latency(&SweepOptions::default());
+        let plain = grid(0.3).run_sim::<Latency>(&SweepOptions::default(), Exec::Plain);
         assert!(
             plain.agg(0, "completed").mean() < 1.0,
             "plain ABD must lose ops at 30% loss, got {}",

@@ -9,8 +9,8 @@
 //! `SweepOptions::threads`, so each job compares the same two schedules.
 
 use gqs_workloads::sweep::{
-    self, NetworkFamily, PatternFamily, ScenarioCell, ScenarioGrid, ScheduleFamily, SweepOptions,
-    SweepReport, TopologyFamily,
+    self, Consensus, Exec, Latency, NetworkFamily, PatternFamily, ScenarioCell, ScenarioGrid,
+    ScheduleFamily, SweepOptions, SweepReport, TopologyFamily,
 };
 
 fn with_threads(threads: usize, shard: Option<usize>) -> SweepOptions {
@@ -145,14 +145,14 @@ fn region_outage_latency_grid_is_bit_identical_across_thread_counts() {
         trials: 40,
         seed: 0xFA017,
     };
-    let single = grid.run_latency(&with_threads(1, None));
-    let eight = grid.run_latency(&with_threads(8, None));
+    let single = grid.run_sim::<Latency>(&with_threads(1, None), Exec::Plain);
+    let eight = grid.run_sim::<Latency>(&with_threads(8, None), Exec::Plain);
     assert!(single.complete && eight.complete);
     assert_eq!(single, eight, "region-outage latency grid diverged between 1 and 8 workers");
     // Thread-invariance must hold for any fixed sharding (real-valued
     // metric sums only reassociate identically on equal shard layouts).
-    let odd_one = grid.run_latency(&with_threads(1, Some(7)));
-    let odd_eight = grid.run_latency(&with_threads(8, Some(7)));
+    let odd_one = grid.run_sim::<Latency>(&with_threads(1, Some(7)), Exec::Plain);
+    let odd_eight = grid.run_sim::<Latency>(&with_threads(8, Some(7)), Exec::Plain);
     assert_eq!(odd_one, odd_eight, "region-outage latency grid diverged under shard=7");
     // Every cell measured every trial. (Completion rates across the
     // schedule axis are not directly comparable — dynamic families invoke
@@ -186,12 +186,12 @@ fn consensus_grid_is_bit_identical_across_thread_counts() {
         trials: 12,
         seed: 0xC0A5,
     };
-    let single = grid.run_consensus(&with_threads(1, None));
-    let eight = grid.run_consensus(&with_threads(8, None));
+    let single = grid.run_sim::<Consensus>(&with_threads(1, None), Exec::Plain);
+    let eight = grid.run_sim::<Consensus>(&with_threads(8, None), Exec::Plain);
     assert!(single.complete && eight.complete);
     assert_eq!(single, eight, "consensus grid diverged between 1 and 8 workers");
-    let odd_one = grid.run_consensus(&with_threads(1, Some(5)));
-    let odd_eight = grid.run_consensus(&with_threads(8, Some(5)));
+    let odd_one = grid.run_sim::<Consensus>(&with_threads(1, Some(5)), Exec::Plain);
+    let odd_eight = grid.run_sim::<Consensus>(&with_threads(8, Some(5)), Exec::Plain);
     assert_eq!(odd_one, odd_eight, "consensus grid diverged under shard=5");
     // Dynamic faults heal, so every process eventually learns the
     // decision; the static pattern permanently isolates some.
@@ -223,12 +223,12 @@ fn lognormal_latency_grid_is_bit_identical_across_thread_counts() {
         trials: 30,
         seed: 0x10c4,
     };
-    let single = grid.run_latency(&with_threads(1, None));
-    let eight = grid.run_latency(&with_threads(8, None));
+    let single = grid.run_sim::<Latency>(&with_threads(1, None), Exec::Plain);
+    let eight = grid.run_sim::<Latency>(&with_threads(8, None), Exec::Plain);
     assert!(single.complete && eight.complete);
     assert_eq!(single, eight, "lognormal latency grid diverged between 1 and 8 workers");
-    let odd_one = grid.run_latency(&with_threads(1, Some(7)));
-    let odd_eight = grid.run_latency(&with_threads(8, Some(7)));
+    let odd_one = grid.run_sim::<Latency>(&with_threads(1, Some(7)), Exec::Plain);
+    let odd_eight = grid.run_sim::<Latency>(&with_threads(8, Some(7)), Exec::Plain);
     assert_eq!(odd_one, odd_eight, "lognormal latency grid diverged under shard=7");
     for c in 0..grid.cells.len() {
         assert_eq!(single.agg(c, "completed").count(), 30);
