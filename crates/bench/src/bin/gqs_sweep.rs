@@ -62,13 +62,14 @@ range `4..8` / `4..16:4` / `0.1..0.5:0.2` — float ranges need a step):
                          grid|two-cliques-bridge|regions|random
                                                              [default: complete]
     --n <LIST>           system sizes                        [default: 4]
-    --density <LIST>     edge probability, random family only [default: 0.6]
+    --density <LIST>     edge probability in [0, 1], random family only
+                                                             [default: 0.6]
     --regions <R>        region count, regions family only    [default: 3]
     --patterns <P>       pattern family: rotating|random|adversarial
                                                              [default: rotating]
     --pattern-count <K>  patterns per system (random/adversarial) [default: 3]
     --max-crashes <K>    max crashes per pattern (random)     [default: 1]
-    --p-chan <LIST>      channel-failure probabilities        [default: 0.2]
+    --p-chan <LIST>      channel-failure probabilities in [0, 1] [default: 0.2]
     --loss <LIST>        per-channel message-loss probabilities in [0, 1]
                          for the simulated modes (solvability collapses
                          the axis)                           [default: 0]
@@ -89,8 +90,8 @@ EXECUTION:
                          single-shot Figure-6 consensus: decided fraction,
                          views and time to decide, decision latency over
                          C x delta, msgs/op), availability (simulated
-                         self-healing ABD register with ack/retransmit/
-                         backoff delivery over lossy links: completion
+                         retrying ABD register, re-sending unanswered
+                         quorum requests over lossy links: completion
                          rate, stalled ops, time-to-heal, retransmits/op)
                          or scale (flooded gossip over the implicit
                          topology + sampled-arc majority ABD; families
@@ -329,9 +330,13 @@ fn parse_args() -> Result<Args, String> {
     if args.schedules.is_empty() {
         return Err("--schedule needs at least one family".to_string());
     }
-    for &loss in &args.losses {
-        if !(0.0..=1.0).contains(&loss) {
-            return Err(format!("--loss values must be in [0, 1] (got {loss})"));
+    // Probabilities, checked on every value (NaN included) even where the
+    // grid later collapses the axis.
+    for (flag, values) in
+        [("--density", &args.densities), ("--p-chan", &args.p_chans), ("--loss", &args.losses)]
+    {
+        if let Some(bad) = values.iter().find(|v| !(0.0..=1.0).contains(*v)) {
+            return Err(format!("{flag} values must be in [0, 1] (got {bad})"));
         }
     }
     if !matches!(

@@ -234,8 +234,8 @@ fn measure_fault_schedule() -> (usize, f64, f64) {
 }
 
 /// Plain flooded ABD vs the self-healing stack on the same loss-free
-/// static cell: what the ack/retransmit/backoff layer costs when nothing
-/// needs healing. Returns `(trials, plain_ns_per_trial,
+/// static cell: what the retrying engine (`with_retry`) costs when
+/// nothing needs healing. Returns `(trials, plain_ns_per_trial,
 /// reliable_ns_per_trial)` — the insurance premium of the reliable
 /// delivery layer at loss=0.
 ///
@@ -641,7 +641,7 @@ fn main() {
     json.push_str(
         "    \"note\": \"simulated register trials on complete(9), static schedule, loss=0, \
          all ops complete with zero retransmits: plain flooded ABD (latency mode) vs the \
-         ack/retransmit/backoff stack (availability mode); ns per trial, single-threaded\",\n",
+         retrying QAF stack (with_retry, availability mode); ns per trial, single-threaded\",\n",
     );
     json.push_str(&format!("    \"trials\": {ro_trials},\n"));
     json.push_str(&format!("    \"plain_abd_ns_per_trial\": {},\n", json_escape_free(plain_ns)));

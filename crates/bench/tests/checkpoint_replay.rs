@@ -1,15 +1,15 @@
 //! Cross-stack determinism oracle for checkpoint/fork replay.
 //!
 //! For every shipped protocol stack — flooded classical ABD, the
-//! retrying availability stack, `Flood<Reliable<P>>`, the generalized
-//! (clock-push) register, sampled-arc ABD at scale, and flooded
-//! consensus with its view synchronizer — `checkpoint(); run();
-//! restore(); run()` must be **byte-identical** to the uninterrupted
-//! run: same final clock, same `NetStats`, same op history (responses
-//! and completion times, hence decided values), same RNG stream
-//! position, and same per-node protocol state down to `Debug`
-//! formatting. Snapshot instants are taken at several cut points per
-//! stack, including time zero and cuts past quiescence.
+//! retrying availability stack, the generalized (clock-push) register,
+//! sampled-arc ABD at scale, and flooded consensus with its view
+//! synchronizer — `checkpoint(); run(); restore(); run()` must be
+//! **byte-identical** to the uninterrupted run: same final clock, same
+//! `NetStats`, same op history (responses and completion times, hence
+//! decided values), same RNG stream position, and same per-node protocol
+//! state down to `Debug` formatting. Snapshot instants are taken at
+//! several cut points per stack, including time zero and cuts past
+//! quiescence.
 
 use std::fmt::Debug;
 use std::fmt::Write as _;
@@ -21,9 +21,7 @@ use gqs_registers::{
     abd_register_nodes, gqs_register_nodes, reliable_abd_register_nodes, sampled_abd_nodes, RegOp,
     ScaleOp,
 };
-use gqs_simnet::{
-    DelayModel, FailureSchedule, Flood, Protocol, Reliable, SimConfig, SimTime, Simulation,
-};
+use gqs_simnet::{DelayModel, FailureSchedule, Flood, Protocol, SimConfig, SimTime, Simulation};
 
 /// Everything observable about a finished run, as one comparison string:
 /// clock, network statistics, RNG position, the full op history
@@ -132,33 +130,6 @@ fn retrying_abd_replays_byte_identically() {
         .collect();
         let cfg =
             SimConfig { seed: 0xAA11, loss: 0.2, horizon: SimTime(20_000), ..SimConfig::default() };
-        let mut sim = Simulation::new(cfg, nodes);
-        sim.apply_failures(&faults());
-        invoke_register_ops(&mut sim, n);
-        sim
-    });
-}
-
-/// `Flood<Reliable<P>>` — the explicit middleware composition: ack/
-/// retransmit envelopes (with their pending queues, backoff RNG and
-/// armed-timer bookkeeping) flooded over the topology.
-#[test]
-fn flood_of_reliable_replays_byte_identically() {
-    let n = 4;
-    assert_replay_identical(n, CUTS, || {
-        let qs = majority_system(n).expect("majority system exists");
-        let nodes: Vec<Flood<Reliable<_>>> =
-            abd_register_nodes::<u8, u64>(n, qs.reads().clone(), qs.writes().clone(), 0)
-                .into_iter()
-                .enumerate()
-                .map(|(p, reg)| Flood::new(Reliable::with_tuning(reg, 40, 640, 0xF00D + p as u64)))
-                .collect();
-        let cfg = SimConfig {
-            seed: 0xF1D0,
-            loss: 0.15,
-            horizon: SimTime(20_000),
-            ..SimConfig::default()
-        };
         let mut sim = Simulation::new(cfg, nodes);
         sim.apply_failures(&faults());
         invoke_register_ops(&mut sim, n);

@@ -96,6 +96,27 @@ fn loss_axis_rejects_garbage_and_out_of_range_values() {
 }
 
 #[test]
+fn probability_axes_reject_out_of_range_values_before_the_sweep() {
+    for (flag, value) in [
+        ("--p-chan", "NaN"),
+        ("--p-chan", "inf"),
+        ("--p-chan", "2"),
+        ("--p-chan", "-0.5"),
+        ("--p-chan", "0.1,1.5"),
+        ("--density", "nan"),
+        ("--density", "2"),
+        ("--density", "-0.1"),
+    ] {
+        assert_clean_error(&[flag, value], &format!("{flag} values must be in [0, 1]"));
+    }
+    // Density is checked even where the grid ignores it (non-random families).
+    assert_clean_error(
+        &["--family", "ring", "--density", "2"],
+        "--density values must be in [0, 1]",
+    );
+}
+
+#[test]
 fn availability_mode_flags_are_validated() {
     assert_clean_error(&["--mode", "availabilty"], "unknown mode");
     // A valid availability spec runs and reports its metrics.

@@ -2,99 +2,64 @@
 //! the simulator, and the availability story they promise — blocked
 //! during the outage, restored after the heal — actually happens.
 //!
-//! The transport under test is the real production stack: a one-shot
-//! request/response protocol (which never retries on its own) wrapped in
-//! [`Reliable`] for ack/retransmit/backoff delivery and [`Flood`] for
-//! path diversity. Every heal-and-complete below is the reliability
-//! layer's doing, not a test-local retry loop.
+//! The transport under test is the production stack: the retrying ABD
+//! register ([`reliable_abd_register_nodes`]) wrapped in [`Flood`] for
+//! path diversity. Its only read and write quorum is `{target}`, so each
+//! operation is a point-to-point exchange between the invoker and
+//! `target`. Every heal-and-complete below is the engine's own
+//! retransmission, not a test-local retry loop.
 
-use gqs_core::{majority_system, ProcessId};
+use gqs_core::{majority_system, NetworkGraph, ProcessId, ProcessSet, QuorumFamily};
 use gqs_faults::{regions, scenarios, FaultScript};
 use gqs_registers::{abd_register_nodes, reliable_abd_register_nodes, AbdRegister, RegOp};
-use gqs_simnet::{
-    Context, Flood, OpId, Protocol, Reliable, SimConfig, SimTime, Simulation, StopReason, TimerId,
-    Topology,
-};
+use gqs_simnet::{Flood, OpId, SimConfig, SimTime, Simulation, StopReason, Topology};
 
-/// Fire-and-forget request/response: sends each request exactly once and
-/// never retries — surviving faults is entirely [`Reliable`]'s job.
-#[derive(Clone, Default, Debug)]
-struct OneShot {
-    pending: Vec<OpId>,
-}
+/// Period of the engine's request retransmission.
+const RETRY_PERIOD: u64 = 40;
 
-#[derive(Clone, Debug)]
-enum Msg {
-    Req,
-    Rsp,
-}
+type Stack = Flood<AbdRegister<u8, u64>>;
 
-impl Protocol for OneShot {
-    type Msg = Msg;
-    type Op = ProcessId;
-    type Resp = ();
-
-    fn on_start(&mut self, _ctx: &mut Context<Msg, ()>) {}
-
-    fn on_message(&mut self, from: ProcessId, msg: Msg, ctx: &mut Context<Msg, ()>) {
-        match msg {
-            Msg::Req => ctx.send(from, Msg::Rsp),
-            Msg::Rsp => {
-                // Reliable delivers in per-sender order, so responses
-                // come back in invocation order.
-                if !self.pending.is_empty() {
-                    let op = self.pending.remove(0);
-                    ctx.complete(op, ());
-                }
-            }
-        }
-    }
-
-    fn on_timer(&mut self, _id: TimerId, _ctx: &mut Context<Msg, ()>) {}
-
-    fn on_invoke(&mut self, op: OpId, target: ProcessId, ctx: &mut Context<Msg, ()>) {
-        self.pending.push(op);
-        ctx.send(target, Msg::Req);
-    }
-}
-
-type ReliableStack = Flood<Reliable<OneShot>>;
-
-fn reliable_nodes(n: usize) -> Vec<ReliableStack> {
-    (0..n)
-        .map(|p| {
-            Flood::new(Reliable::with_tuning(OneShot::default(), 40, 640, 0xFA_075 + p as u64))
-        })
+/// One retrying register node per process, all agreeing that `target`
+/// alone is both the read and the write quorum.
+fn target_nodes(n: usize, target: ProcessId) -> Vec<Stack> {
+    let only_target = QuorumFamily::explicit([ProcessSet::singleton(target)])
+        .expect("a singleton is a valid quorum family");
+    reliable_abd_register_nodes(n, only_target.clone(), only_target, 0u64, RETRY_PERIOD)
+        .into_iter()
+        .map(Flood::new)
         .collect()
 }
 
-fn wan_sim(r: usize, k: usize) -> (Simulation<ReliableStack>, gqs_faults::RegionLayout) {
-    let (graph, layout) = regions::regions(r, k);
+fn sim_over(graph: NetworkGraph, target: ProcessId) -> Simulation<Stack> {
     let n = graph.len();
     let cfg = SimConfig {
         topology: Topology::from(graph),
         horizon: SimTime(100_000),
         ..SimConfig::default()
     };
-    (Simulation::new(cfg, reliable_nodes(n)), layout)
+    Simulation::new(cfg, target_nodes(n, target))
+}
+
+fn write(value: u64) -> RegOp<u8, u64> {
+    RegOp::Write { reg: 0, value }
 }
 
 #[test]
 fn region_outage_blocks_cross_region_traffic_until_heal() {
-    let (mut sim, layout) = wan_sim(3, 3);
-    let graph = regions::regions(3, 3).0;
+    let (graph, layout) = regions::regions(3, 3);
+    let in_r0 = ProcessId(0);
+    let in_r1 = layout.gateway(1);
+    let mut sim = sim_over(graph.clone(), in_r1);
     // Region 1 dark during [500, 3000).
     let script = scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000));
     script.apply(&mut sim);
-    let in_r0 = ProcessId(0);
-    let in_r1 = layout.gateway(1);
     // Before the outage: cross-region op completes promptly.
-    let before = sim.invoke_at(SimTime(10), in_r0, in_r1);
+    let before = sim.invoke_at(SimTime(10), in_r0, write(1));
     // During: the op stalls until the heal, then a retransmission gets
-    // through (the one-shot protocol itself never resends).
-    let during = sim.invoke_at(SimTime(1000), in_r0, in_r1);
+    // through.
+    let during = sim.invoke_at(SimTime(1000), in_r0, write(2));
     // After: back to normal.
-    let after = sim.invoke_at(SimTime(5000), in_r0, in_r1);
+    let after = sim.invoke_at(SimTime(5000), in_r0, write(3));
     assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
     let done = |op: OpId| {
         sim.history()
@@ -112,13 +77,13 @@ fn region_outage_blocks_cross_region_traffic_until_heal() {
 
 #[test]
 fn intra_region_traffic_survives_the_outage() {
-    let (mut sim, layout) = wan_sim(3, 3);
-    let graph = regions::regions(3, 3).0;
-    scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000)).apply(&mut sim);
+    let (graph, layout) = regions::regions(3, 3);
     // Both endpoints inside the dark region: the island stays healthy.
     let a = layout.gateway(1);
     let b = ProcessId(a.index() + 1);
-    sim.invoke_at(SimTime(1000), a, b);
+    let mut sim = sim_over(graph.clone(), b);
+    scenarios::region_outage(&layout, &graph, 1, SimTime(500), SimTime(3000)).apply(&mut sim);
+    sim.invoke_at(SimTime(1000), a, write(1));
     assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
     let done = sim.history().ops()[0].completed_at().unwrap();
     assert!(done < SimTime(1200), "intra-region traffic is unaffected, got {done:?}");
@@ -126,12 +91,12 @@ fn intra_region_traffic_survives_the_outage() {
 
 #[test]
 fn rolling_restart_leaves_everyone_alive_and_responsive() {
-    let (mut sim, _layout) = wan_sim(2, 3);
+    let mut sim = sim_over(regions::regions(2, 3).0, ProcessId(5));
     let script = scenarios::rolling_restart(6, SimTime(100), 200, 50);
     let end = script.end();
     script.apply(&mut sim);
     // An op invoked after the whole roll completes normally.
-    sim.invoke_at(end + 100, ProcessId(0), ProcessId(5));
+    sim.invoke_at(end + 100, ProcessId(0), write(1));
     assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
     for p in 0..6 {
         assert!(!sim.is_crashed(ProcessId(p)), "process {p} must have recovered");
@@ -146,15 +111,10 @@ fn hub_crash_blacks_out_spokes_until_recovery() {
         g.add_channel(gqs_core::Channel::new(ProcessId(0), ProcessId(i)));
         g.add_channel(gqs_core::Channel::new(ProcessId(i), ProcessId(0)));
     }
-    let cfg = SimConfig {
-        topology: Topology::from(g),
-        horizon: SimTime(100_000),
-        ..SimConfig::default()
-    };
-    let mut sim: Simulation<ReliableStack> = Simulation::new(cfg, reliable_nodes(4));
+    let mut sim = sim_over(g, ProcessId(2));
     scenarios::hub_crash(ProcessId(0), SimTime(200), Some(SimTime(2000))).apply(&mut sim);
     // Spoke-to-spoke traffic during the hub's downtime stalls, then heals.
-    sim.invoke_at(SimTime(500), ProcessId(1), ProcessId(2));
+    sim.invoke_at(SimTime(500), ProcessId(1), write(1));
     assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
     let done = sim.history().ops()[0].completed_at().unwrap();
     assert!(done >= SimTime(2000), "no spoke path exists while the hub is down, got {done:?}");
@@ -163,8 +123,8 @@ fn hub_crash_blacks_out_spokes_until_recovery() {
 #[test]
 fn equal_scripts_produce_identical_traces() {
     let build = || {
-        let (mut sim, layout) = wan_sim(3, 2);
-        let graph = regions::regions(3, 2).0;
+        let (graph, layout) = regions::regions(3, 2);
+        let mut sim = sim_over(graph.clone(), ProcessId(5));
         let mut script = FaultScript::new();
         script
             .merge(scenarios::staggered_region_outages(&layout, &graph, SimTime(300), 400, 600))
@@ -176,8 +136,8 @@ fn equal_scripts_produce_identical_traces() {
                 SimTime(3000),
             ));
         script.apply(&mut sim);
-        sim.invoke_at(SimTime(50), ProcessId(0), ProcessId(5));
-        sim.invoke_at(SimTime(700), ProcessId(2), ProcessId(0));
+        sim.invoke_at(SimTime(50), ProcessId(0), write(1));
+        sim.invoke_at(SimTime(700), ProcessId(2), RegOp::Read { reg: 0 });
         sim.run();
         (sim.stats(), sim.now())
     };

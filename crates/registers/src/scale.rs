@@ -17,8 +17,8 @@
 //! (the other half is [`gqs_simnet::Gossip`]); it demonstrates that the
 //! simulator's pid-space is no longer tied to the decision-structure
 //! bound. Channels are assumed reliable and processes crash-free for the
-//! scale runs — there is no retransmission layer (wrap the nodes in
-//! [`gqs_simnet::Reliable`] where loss matters).
+//! scale runs — unlike [`crate::ClassicalQaf::with_retry`], nothing here
+//! re-sends a lost request, so loss stalls the operation.
 //!
 //! ```
 //! use gqs_core::ProcessId;

@@ -22,12 +22,9 @@
 //!   directed paths of present channels,
 //! * a **seeded message-loss model** ([`SimConfig::loss`]: each send over
 //!   an up channel is independently dropped with a configured probability,
-//!   deterministically per seed), and
-//! * a **reliability middleware** ([`Reliable`]): per-destination sequence
-//!   numbers, **acks**, **duplicate suppression**, and retransmission with
-//!   seeded exponential **backoff**, delivering every wrapped message
-//!   exactly once and in per-sender order despite loss, flapping channels
-//!   and crash/recover cycles, and
+//!   deterministically per seed; protocols repair loss themselves by
+//!   re-sending unanswered requests, as the register engines'
+//!   `with_retry` does), and
 //! * a **scale core**: flat per-process state (crash epochs and channel
 //!   down-counts in dense arrays), a radix-heap [`TimingWheel`] scheduler,
 //!   and implicit [`Topology`] adjacency answered arithmetically through
@@ -99,7 +96,6 @@ pub mod gossip;
 pub mod history;
 pub mod netmodel;
 pub mod protocol;
-pub mod reliable;
 pub mod rng;
 pub mod sim;
 pub mod time;
@@ -112,7 +108,6 @@ pub use gossip::Gossip;
 pub use history::{History, NetStats, OpRecord};
 pub use netmodel::{LatencyDist, LinkProfile, NetModel, RegionSpec, Synchrony};
 pub use protocol::{Context, Effect, OpId, Protocol, TimerId};
-pub use reliable::{Reliable, ReliableMsg, RETX_TIMER};
 pub use rng::SplitMix64;
 pub use sim::{
     Checkpoint, DelayModel, FailureSchedule, SimConfig, Simulation, StopReason, MAX_SIM_PROCESSES,

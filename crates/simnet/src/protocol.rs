@@ -69,9 +69,9 @@ pub enum Effect<M, R> {
     },
     /// Account `count` retransmitted messages in the run's
     /// [`crate::NetStats`]. Bookkeeping only — the resent copies travel as
-    /// ordinary [`Effect::Send`]s; this effect lets reliability layers
-    /// (e.g. [`crate::Reliable`]) surface their overhead in the
-    /// simulator-wide statistics. Middleware must pass it through.
+    /// ordinary [`Effect::Send`]s; this effect lets protocols that re-send
+    /// unanswered requests surface their overhead in the simulator-wide
+    /// statistics. Middleware must pass it through.
     NoteRetransmit {
         /// Number of retransmissions to account.
         count: u64,

@@ -1,10 +1,11 @@
 //! A 3-region WAN outage, traced end to end: the self-healing register
 //! stack rides out a dark region while a Chrome-trace sink records every
-//! send, drop, retransmission, backoff timer and operation span.
+//! send, drop, retransmission, retry timer and operation span.
 //!
 //! Nine processes in three 3-process regions (cliques bridged
 //! gateway-to-gateway, `gqs::faults::regions`) run the reliable ABD
-//! majority register — acked delivery with retransmit/backoff ladders.
+//! majority register, whose quorum engines re-send unanswered requests
+//! on a fixed retry timer.
 //! A fault script cuts region 1's entire inter-region boundary during
 //! `[2000, 6000)` and heals it. One write+read pair is invoked at every
 //! process before and during the outage; because the delivery layer
@@ -15,8 +16,8 @@
 //! * `cut_down` / `cut_heal` instants bracket the outage on the gateway
 //!   tracks;
 //! * `drop_disconnected` instants pile up on region 1's processes while
-//!   `retransmit` + `timer_set`/`timer_fire` show the backoff ladders
-//!   climbing;
+//!   `retransmit` + `timer_set`/`timer_fire` show the retry timer
+//!   ticking;
 //! * `op…` async spans for parked operations stretch across the outage
 //!   and close just after the heal, with the `qaf_get`/`qaf_set`
 //!   protocol phases nested inside.
@@ -36,7 +37,7 @@ use gqs::registers::{reliable_abd_register_nodes, RegOp};
 use gqs::simnet::{ChromeSink, Flood, SharedSink, SimConfig, SimTime, Simulation, Topology};
 use gqs::workloads::Table;
 
-/// Retransmit interval of the reliable delivery layer, in ticks.
+/// Retransmit interval of the retrying quorum engines, in ticks.
 const RETRY: u64 = 150;
 
 fn main() {
