@@ -108,6 +108,7 @@ threads latency         tiny_latency.json       --mode latency --family ring --n
 threads consensus       tiny_consensus.json     --mode consensus --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 --schedule region-outage --trials 4 --seed 13 --format json
 threads availability    tiny_availability.json  --mode availability --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 --loss 0.1 --schedule region-outage --trials 4 --seed 17 --format json
 trace   trace           tiny_trace.jsonl        --mode availability --family complete --n 4 --patterns rotating --p-chan 0.2 --loss 0.2 --trials 2 --seed 11 --trace-trial 1 --format json
+trace   trace_ring      tiny_trace_ring.jsonl   --mode availability --family ring --n 4 --patterns rotating --p-chan 0 --loss 0.1 --trials 1 --seed 17 --trace-trial 0 --format json
 single  timeline        tiny_timeline.json      --mode availability --family complete --n 4 --patterns rotating --p-chan 0.2 --loss 0.2 --trials 2 --seed 11 --timeline 25000 --format json
 threads lognormal       tiny_lognormal.json     --mode latency --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 --loss 0.05 --net lognormal --trials 6 --seed 19 --format json
 fork    branch          tiny_branch.json        --mode consensus --family regions --regions 3 --n 6 --patterns rotating --p-chan 0 --schedule region-outage --trials 4 --seed 13 --branch-at 2000 --branches 3 --format json

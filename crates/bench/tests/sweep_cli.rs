@@ -494,6 +494,36 @@ fn trace_dump_matches_golden_and_is_thread_invariant() {
     }
 }
 
+/// The exact invocation `golden/tiny_trace_ring.jsonl` was produced with:
+/// the retrying register flooded over a lossy four-process ring, where
+/// most relay copies go to absent channels. It pins the per-copy order of
+/// `drop_disconnected`, `drop_lossy` and delivered sends within each
+/// fan-out.
+const RING_TRACE_GOLDEN_ARGS: &str = "--mode availability --family ring --n 4 \
+     --patterns rotating --p-chan 0 --loss 0.1 --trials 1 --seed 17 --trace-trial 0";
+
+#[test]
+fn ring_trace_dump_matches_golden() {
+    let golden = include_str!("../golden/tiny_trace_ring.jsonl");
+    let path = std::env::temp_dir().join("gqs_tiny_trace_ring.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_gqs_sweep"))
+        .args(RING_TRACE_GOLDEN_ARGS.split_whitespace())
+        .args(["--trace-out", path.to_str().unwrap()])
+        .output()
+        .expect("gqs_sweep runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let got = std::fs::read_to_string(&path).expect("trace written");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        got, golden,
+        "ring trace dump drifted from golden/tiny_trace_ring.jsonl; if the \
+         change is intentional, regenerate the golden file"
+    );
+    for needle in ["\"ev\":\"drop_disconnected\"", "\"ev\":\"drop_lossy\""] {
+        assert!(golden.contains(needle), "golden ring trace lacks {needle}");
+    }
+}
+
 #[test]
 fn chrome_trace_is_one_json_array_of_the_same_run() {
     let path = std::env::temp_dir().join("gqs_tiny_trace.chrome.json");

@@ -131,6 +131,7 @@ impl<L: JoinSemilattice> LatticeNode<L> {
         for eff in effects {
             match eff {
                 Effect::Send { to, msg } => ctx.send(to, msg),
+                Effect::SendAll { msg, to_self } => ctx.send_all(msg, to_self),
                 Effect::SetTimer { id, after } => ctx.set_timer(id, after),
                 Effect::Complete { op, resp } => {
                     let machine = self.routes.remove(&op.0).expect("unknown internal snapshot op");
@@ -189,6 +190,14 @@ impl<L: JoinSemilattice> Protocol for LatticeNode<L> {
     fn on_timer(&mut self, id: TimerId, ctx: &mut Context<Self::Msg, Self::Resp>) {
         let mut inner = Self::inner_ctx(ctx);
         self.snap.on_timer(id, &mut inner);
+        self.pump(inner.take_effects(), ctx);
+    }
+
+    fn on_recover(&mut self, ctx: &mut Context<Self::Msg, Self::Resp>) {
+        // The crash cancelled the embedded engine's timers; without this
+        // forward they are never re-armed and proposals through it starve.
+        let mut inner = Self::inner_ctx(ctx);
+        self.snap.on_recover(&mut inner);
         self.pump(inner.take_effects(), ctx);
     }
 

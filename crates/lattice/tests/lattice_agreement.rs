@@ -117,3 +117,21 @@ fn failure_free_four_way_contention() {
         assert!(w[0].leq(&w[1]), "outputs must form a chain");
     }
 }
+
+/// A crash and recovery of `a` before either proposal: the recovered
+/// process must re-arm the embedded engine's timers, or both proposals
+/// starve.
+#[test]
+fn proposals_complete_after_a_crash_and_recovery() {
+    let fig = figure1();
+    let nodes = gqs_lattice_nodes::<L>(&fig.gqs, 20);
+    let cfg = SimConfig { seed: 1, horizon: SimTime(300_000), ..SimConfig::default() };
+    let mut sim = Simulation::new(cfg, nodes);
+    let mut sched = FailureSchedule::from_pattern_at(fig.fail_prone.pattern(0), SimTime(0));
+    sched.crash(ProcessId(0), SimTime(5)).recover(ProcessId(0), SimTime(50));
+    sim.apply_failures(&sched);
+    sim.invoke_at(SimTime(1_000), ProcessId(0), Propose(SetLattice::singleton(1)));
+    sim.invoke_at(SimTime(1_002), ProcessId(1), Propose(SetLattice::singleton(2)));
+    assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
+    assert_safety(&outcomes(&sim));
+}

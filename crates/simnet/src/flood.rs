@@ -9,6 +9,15 @@
 //! whenever a directed path of correct channels from `p` to `q` exists —
 //! at an `O(n²)` message cost per logical message, which the experiment
 //! tables report explicitly.
+//!
+//! Both fan-outs — an origin's envelope and every relay of it — leave
+//! [`Flood`] as one [`Effect::SendAll`], not `n` separate sends. The
+//! simulator expands it into per-destination copies in id order, with
+//! exactly the routing of the equivalent loop of [`Effect::Send`]s, and
+//! clones the envelope only for copies that enter its event queue. On a
+//! sparse topology most relay copies go to channels that do not exist;
+//! those, like copies lost or sent into a down channel, are counted,
+//! traced and dropped without ever being built.
 
 use std::collections::BTreeSet;
 
@@ -31,6 +40,13 @@ pub struct FloodMsg<M> {
 
 /// Wraps a protocol so that logical messages travel along directed *paths*
 /// of correct channels rather than single channels.
+///
+/// A first-seen envelope is relayed as one [`Effect::SendAll`] that skips
+/// this process, so the envelope is moved, not cloned, into the effect;
+/// the simulator clones it once per further copy it queues. If the
+/// envelope is addressed here, only its payload is cloned, once, for the
+/// inner handler, whose effects follow the relay. Inner sends become
+/// envelopes fanned out to everyone, this process included.
 ///
 /// # Examples
 ///
@@ -95,9 +111,23 @@ impl<P: Protocol> Flood<P> {
                     let seq = self.next_seq;
                     self.next_seq += 1;
                     let env = FloodMsg { origin: ctx.me(), seq, dest: Some(to), payload: msg };
-                    // Broadcast includes self, so the origin's own copy is
-                    // delivered through the regular path as well.
-                    ctx.broadcast(env);
+                    // The fan-out includes self, so the origin's own copy
+                    // is delivered through the regular path as well.
+                    ctx.send_all(env, true);
+                }
+                Effect::SendAll { msg, to_self } => {
+                    // One envelope per destination, exactly as the loop
+                    // of sends it stands for.
+                    for p in 0..ctx.n() {
+                        let to = ProcessId(p);
+                        if to != ctx.me() || to_self {
+                            let seq = self.next_seq;
+                            self.next_seq += 1;
+                            let payload = msg.clone();
+                            let env = FloodMsg { origin: ctx.me(), seq, dest: Some(to), payload };
+                            ctx.send_all(env, true);
+                        }
+                    }
                 }
                 Effect::SetTimer { id, after } => ctx.set_timer(id, after),
                 Effect::Complete { op, resp } => ctx.complete(op, resp),
@@ -134,19 +164,16 @@ impl<P: Protocol> Protocol for Flood<P> {
         if !self.seen.insert((env.origin, env.seq)) {
             return; // already relayed and (if addressed to us) delivered
         }
-        // Relay to everyone else first so forwarding continues even if the
-        // local handler panics in tests.
+        // Relay to everyone else first, as one fan-out: the simulator
+        // builds only the copies it queues. A payload addressed here is
+        // cloned once for the inner handler, whose effects follow the relay.
         self.relayed += 1;
-        for p in 0..ctx.n() {
-            let p = ProcessId(p);
-            if p != ctx.me() {
-                ctx.send(p, env.clone());
-            }
-        }
-        let for_me = env.dest.is_none_or(|d| d == ctx.me());
-        if for_me {
+        let origin = env.origin;
+        let mine = env.dest.is_none_or(|d| d == ctx.me()).then(|| env.payload.clone());
+        ctx.send_all(env, false);
+        if let Some(payload) = mine {
             let mut inner_ctx = Self::inner_ctx(ctx);
-            self.inner.on_message(env.origin, env.payload, &mut inner_ctx);
+            self.inner.on_message(origin, payload, &mut inner_ctx);
             self.translate(&mut inner_ctx, ctx);
         }
     }
@@ -415,6 +442,79 @@ mod tests {
         let stats = sim.stats();
         assert!(stats.dropped_disconnected > 0, "in-window sends must be counted as dropped");
         assert!(stats.delivered > 0, "post-heal sends must be delivered");
+    }
+
+    thread_local! {
+        static CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    fn clones() -> u64 {
+        CLONES.with(|c| c.get())
+    }
+
+    /// A payload that counts its clones.
+    #[derive(Debug)]
+    struct Counted;
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted
+        }
+    }
+
+    /// Posts one [`Counted`] to the target and counts arrivals.
+    #[derive(Clone, Default, Debug)]
+    struct Post {
+        got: u64,
+    }
+
+    impl Protocol for Post {
+        type Msg = Counted;
+        type Op = ProcessId;
+        type Resp = ();
+
+        fn on_start(&mut self, _ctx: &mut Context<Counted, ()>) {}
+
+        fn on_message(&mut self, _from: ProcessId, _msg: Counted, _ctx: &mut Context<Counted, ()>) {
+            self.got += 1;
+        }
+
+        fn on_timer(&mut self, _id: TimerId, _ctx: &mut Context<Counted, ()>) {}
+
+        fn on_invoke(&mut self, op: OpId, target: ProcessId, ctx: &mut Context<Counted, ()>) {
+            ctx.send(target, Counted);
+            ctx.complete(op, ());
+        }
+    }
+
+    /// On a ring every relay queues copies for its two neighbours only;
+    /// the other three channels are absent. The relay clones the payload
+    /// at most twice (one copy moves, plus the inner handler's copy at
+    /// the destination), never once per process.
+    #[test]
+    fn relays_clone_only_the_copies_they_queue() {
+        use crate::topology::Topology;
+        let n = 6;
+        let cfg = SimConfig { topology: Topology::Ring { n }, ..SimConfig::default() };
+        let mut sim = Simulation::new(cfg, (0..n).map(|_| Flood::new(Post::default())).collect());
+        sim.invoke_at(SimTime(1), ProcessId(0), ProcessId(3));
+        let relayed = |sim: &Simulation<Flood<Post>>| -> u64 {
+            (0..n).map(|p| sim.node(ProcessId(p)).relayed()).sum()
+        };
+        let mut relays = 0;
+        loop {
+            let (clones_before, relays_before) = (clones(), relayed(&sim));
+            if !sim.step() {
+                break;
+            }
+            let cloned = clones() - clones_before;
+            assert!(cloned <= 2, "one handler call cloned the payload {cloned} times");
+            relays += relayed(&sim) - relays_before;
+        }
+        assert_eq!(relays, n as u64, "every process relays the envelope once");
+        assert_eq!(sim.node(ProcessId(3)).inner().got, 1);
+        assert!(sim.stats().dropped_disconnected > 0);
     }
 
     #[test]

@@ -42,13 +42,31 @@ impl fmt::Display for TimerId {
 /// An effect emitted by a protocol handler.
 #[derive(Clone, Debug)]
 pub enum Effect<M, R> {
-    /// Send `msg` to `to` over the (unidirectional) channel.
+    /// Send `msg` to `to` over the (unidirectional) channel. A send to
+    /// every process is one [`Effect::SendAll`] instead.
     Send {
         /// Destination process (may equal the sender; self-messages are
         /// always delivered).
         to: ProcessId,
         /// The message.
         msg: M,
+    },
+    /// Send `msg` to every process in id order, skipping the sender unless
+    /// `to_self` — one effect for a whole fan-out. It is exactly
+    /// equivalent to the loop of [`Effect::Send`]s to those processes: the
+    /// simulator routes every copy in the same order, with the same
+    /// counters, trace events, drop checks, loss and delay draws and
+    /// queue order. The only difference is cost: `msg` is cloned only for
+    /// copies that enter the event queue, and the last of them takes it
+    /// by move, so copies dropped on absent, down or lossy channels are
+    /// never built. Middleware must pass it through unchanged (via
+    /// [`Context::send_all`]), or expand it into per-destination sends.
+    SendAll {
+        /// The message.
+        msg: M,
+        /// Whether the sender gets a copy too (delivered reliably, like
+        /// every self-send).
+        to_self: bool,
     },
     /// Arm a one-shot timer that fires `after` time units from now.
     SetTimer {
@@ -158,6 +176,11 @@ impl<M, R> Context<M, R> {
     /// Sends `msg` to every process, **including the sender** — the
     /// paper's `send ... to all`. (A process is always connected to
     /// itself; the self-copy is delivered reliably.)
+    ///
+    /// This pushes one [`Effect::Send`] per process, so middleware and
+    /// tests see each destination. [`Context::send_all`] is the same
+    /// fan-out as one effect, without building the copies the simulator
+    /// drops.
     pub fn broadcast(&mut self, msg: M)
     where
         M: Clone,
@@ -165,6 +188,12 @@ impl<M, R> Context<M, R> {
         for p in 0..self.n {
             self.send(ProcessId(p), msg.clone());
         }
+    }
+
+    /// Sends `msg` to every process, the sender included iff `to_self`,
+    /// as one [`Effect::SendAll`].
+    pub fn send_all(&mut self, msg: M, to_self: bool) {
+        self.effects.push(Effect::SendAll { msg, to_self });
     }
 
     /// Arms a one-shot timer.

@@ -990,41 +990,31 @@ impl<P: Protocol> Simulation<P> {
         for eff in ctx.take_effects() {
             match eff {
                 Effect::Send { to, msg } => {
-                    self.stats.sent += 1;
-                    trace_ev!(self, TraceEvent::Send { at: self.now, from: me, to });
-                    // A channel outside the topology is a channel
-                    // disconnected at time zero; a scheduled disconnection
-                    // drops sends until (if ever) the channel heals.
-                    // Self-sends skip both, and are never lossy.
-                    let dropped = to != me
-                        && (!self.config.topology.connects(me, to)
-                            || (self.down_active > 0
-                                && self.is_disconnected(Channel::new(me, to))));
-                    if dropped {
-                        self.stats.dropped_disconnected += 1;
-                        trace_ev!(
-                            self,
-                            TraceEvent::DropDisconnected { at: self.now, from: me, to }
-                        );
-                    } else if self.config.loss > 0.0
-                        && to != me
-                        && self.rng.chance(self.config.loss)
-                    {
-                        // The loss draw happens only on channels that are
-                        // up (losses compose with down intervals) and only
-                        // when the model is enabled, so loss = 0 consumes
-                        // no randomness and leaves traces untouched.
-                        self.stats.dropped_lossy += 1;
-                        trace_ev!(self, TraceEvent::DropLossy { at: self.now, from: me, to });
-                    } else {
-                        let delay = match &self.config.net {
-                            Some(net) => {
-                                let class = self.config.topology.channel_class(me, to);
-                                net.delay(me, to, class, self.now, &mut self.rng)
+                    if let Some(at) = self.route(me, to) {
+                        self.push(at, EventKind::Deliver { from: me, to, msg });
+                    }
+                }
+                Effect::SendAll { msg, to_self } => {
+                    // Exactly the loop of `Send`s in id order, except that
+                    // only queued copies are built: each is pushed (with a
+                    // clone) once the next queued destination is known,
+                    // and the last one takes `msg` by move. Pushes keep
+                    // their order, so event `seq`s are unchanged.
+                    let mut queued: Option<(SimTime, ProcessId)> = None;
+                    for p in 0..self.nodes.len() {
+                        let to = ProcessId(p);
+                        if to == me && !to_self {
+                            continue;
+                        }
+                        if let Some(at) = self.route(me, to) {
+                            if let Some((at, to)) = queued.replace((at, to)) {
+                                let msg = msg.clone();
+                                self.push(at, EventKind::Deliver { from: me, to, msg });
                             }
-                            None => self.config.delay.draw(self.now, &mut self.rng),
-                        };
-                        self.push(self.now + delay, EventKind::Deliver { from: me, to, msg });
+                        }
+                    }
+                    if let Some((at, to)) = queued {
+                        self.push(at, EventKind::Deliver { from: me, to, msg });
                     }
                 }
                 Effect::SetTimer { id, after } => {
@@ -1061,6 +1051,42 @@ impl<P: Protocol> Simulation<P> {
                     );
                 }
             }
+        }
+    }
+
+    /// Routes one copy of a send from `me` to `to`: counts and traces it,
+    /// then drops it on an absent or down channel or to loss, or draws its
+    /// delay. Returns the delivery time iff the copy is to be queued.
+    fn route(&mut self, me: ProcessId, to: ProcessId) -> Option<SimTime> {
+        self.stats.sent += 1;
+        trace_ev!(self, TraceEvent::Send { at: self.now, from: me, to });
+        // A channel outside the topology is a channel disconnected at time
+        // zero; a scheduled disconnection drops sends until (if ever) the
+        // channel heals. Self-sends skip both, and are never lossy.
+        let dropped = to != me
+            && (!self.config.topology.connects(me, to)
+                || (self.down_active > 0 && self.is_disconnected(Channel::new(me, to))));
+        if dropped {
+            self.stats.dropped_disconnected += 1;
+            trace_ev!(self, TraceEvent::DropDisconnected { at: self.now, from: me, to });
+            None
+        } else if self.config.loss > 0.0 && to != me && self.rng.chance(self.config.loss) {
+            // The loss draw happens only on channels that are up (losses
+            // compose with down intervals) and only when the model is
+            // enabled, so loss = 0 consumes no randomness and leaves
+            // traces untouched.
+            self.stats.dropped_lossy += 1;
+            trace_ev!(self, TraceEvent::DropLossy { at: self.now, from: me, to });
+            None
+        } else {
+            let delay = match &self.config.net {
+                Some(net) => {
+                    let class = self.config.topology.channel_class(me, to);
+                    net.delay(me, to, class, self.now, &mut self.rng)
+                }
+                None => self.config.delay.draw(self.now, &mut self.rng),
+            };
+            Some(self.now + delay)
         }
     }
 

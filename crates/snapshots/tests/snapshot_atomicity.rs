@@ -162,3 +162,25 @@ fn snapshot_runs_are_deterministic() {
     assert_eq!(run(8), run(8));
     assert_ne!(run(8), run(9));
 }
+
+/// A crash and recovery of `a` before its update: the recovered process
+/// must re-arm the embedded engine's state-propagation and retry timers,
+/// or its update and the later scan at `b` both starve.
+#[test]
+fn update_and_scan_complete_after_a_crash_and_recovery() {
+    let fig = figure1();
+    let nodes = gqs_snapshot_nodes::<u64>(&fig.gqs, 0, 20);
+    let cfg = SimConfig { seed: 1, horizon: SimTime(300_000), ..SimConfig::default() };
+    let mut sim = Simulation::new(cfg, nodes);
+    let mut sched = FailureSchedule::from_pattern_at(fig.fail_prone.pattern(0), SimTime(0));
+    sched.crash(ProcessId(0), SimTime(5)).recover(ProcessId(0), SimTime(50));
+    sim.apply_failures(&sched);
+    sim.invoke_at(SimTime(1_000), ProcessId(0), SnapOp::Update(7));
+    sim.invoke_at(SimTime(30_000), ProcessId(1), SnapOp::Scan);
+    assert_eq!(sim.run_until_ops_complete(), StopReason::OpsComplete);
+    match sim.history().ops()[1].resp() {
+        Some(SnapResp::View(v)) => assert_eq!(v, &vec![7, 0, 0, 0]),
+        other => panic!("expected a view, got {other:?}"),
+    }
+    assert_snapshot_linearizable(sim.history(), 4);
+}
